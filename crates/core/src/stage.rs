@@ -44,16 +44,16 @@ pub(crate) fn stage_from_array_at(
     let t0 = clock.now();
     let span = dt.span(count);
     let avail = rt.heap().len_of(src)?;
-    if src_byte_off + span > avail {
+    let end = src_byte_off.saturating_add(span);
+    if end > avail {
         return Err(MrtError::IndexOutOfBounds {
-            index: src_byte_off + span,
+            index: end,
             length: avail,
         });
     }
     if dt.is_contiguous() {
         // One bulk copy.
-        let bytes = rt.heap().bytes(src)?[src_byte_off..src_byte_off + packed].to_vec();
-        rt.direct_write_bytes(store, store_off, &bytes, clock)?;
+        rt.direct_write_from_heap(store, store_off, src, src_byte_off, packed, clock)?;
     } else {
         let segs = dt.segments();
         let ext = dt.extent();
@@ -61,9 +61,8 @@ pub(crate) fn stage_from_array_at(
         for i in 0..count {
             let base = src_byte_off + i * ext;
             for &(off, len) in &segs {
-                let bytes = rt.heap().bytes(src)?[base + off..base + off + len].to_vec();
                 // Each scattered segment is a separate (charged) copy.
-                rt.direct_write_bytes(store, pos, &bytes, clock)?;
+                rt.direct_write_from_heap(store, pos, src, base + off, len, clock)?;
                 pos += len;
             }
         }
@@ -116,17 +115,22 @@ pub(crate) fn unstage_to_array_at(
     let t0 = clock.now();
     let full = (filled / elem).min(count);
     let span = if full == 0 { 0 } else { dt.span(full) };
-    if dest.byte_off + span > dest.byte_len {
+    let end = dest.byte_off.saturating_add(span);
+    if end > dest.byte_len {
         return Err(MrtError::IndexOutOfBounds {
-            index: dest.byte_off + span,
+            index: end,
             length: dest.byte_len,
         });
     }
     if dt.is_contiguous() {
-        let mut bytes = vec![0u8; full * elem];
-        rt.direct_read_bytes(store, store_off, &mut bytes, clock)?;
-        let dst = rt.heap_mut().bytes_mut(dest.handle)?;
-        dst[dest.byte_off..dest.byte_off + bytes.len()].copy_from_slice(&bytes);
+        rt.direct_read_into_heap(
+            store,
+            store_off,
+            dest.handle,
+            dest.byte_off,
+            full * elem,
+            clock,
+        )?;
     } else {
         let segs = dt.segments();
         let ext = dt.extent();
@@ -134,10 +138,7 @@ pub(crate) fn unstage_to_array_at(
         for i in 0..full {
             let base = dest.byte_off + i * ext;
             for &(off, len) in &segs {
-                let mut bytes = vec![0u8; len];
-                rt.direct_read_bytes(store, pos, &mut bytes, clock)?;
-                let dst = rt.heap_mut().bytes_mut(dest.handle)?;
-                dst[base + off..base + off + len].copy_from_slice(&bytes);
+                rt.direct_read_into_heap(store, pos, dest.handle, base + off, len, clock)?;
                 pos += len;
             }
         }
@@ -222,6 +223,84 @@ mod tests {
         let mut out = [0i32; 8];
         rt.array_read(dst, 0, &mut out, &mut c).unwrap();
         assert_eq!(out, [0, -1, -1, 3, 4, -1, -1, 7]);
+    }
+
+    #[test]
+    fn contiguous_and_strided_types_stage_like_pack() {
+        use mpisim::datatype::SHORT;
+        let types = [
+            INT,
+            Datatype::contiguous(3, INT),
+            Datatype::indexed(vec![(0, 2), (2, 1)], INT).unwrap(),
+            Datatype::vector(2, 1, 3, INT).unwrap(),
+            Datatype::indexed(vec![(1, 1), (3, 2)], INT).unwrap(),
+            Datatype::contiguous(2, Datatype::vector(2, 1, 2, SHORT).unwrap()),
+        ];
+        for dt in &types {
+            let (mut rt, mut c) = setup();
+            let arr = rt.alloc_array::<i32>(64, &mut c).unwrap();
+            for i in 0..64 {
+                rt.array_set(arr, i, 0x0101_0101 * i as i32, &mut c)
+                    .unwrap();
+            }
+            let count = 3;
+            let src = rt.heap().bytes(arr.handle()).unwrap()[4..].to_vec();
+            let packed = dt.pack(&src, count).unwrap();
+            let store = rt.allocate_direct(256, &mut c);
+            let mut staged = Clock::new();
+            let n =
+                stage_from_array(&mut rt, &mut staged, store, arr.handle(), 4, count, dt).unwrap();
+            assert_eq!(n, packed.len(), "{dt:?}");
+            assert_eq!(&rt.direct_bytes(store).unwrap()[..n], &packed[..], "{dt:?}");
+            if dt.is_contiguous() {
+                // One bulk copy, charged as one.
+                let mut once = Clock::new();
+                rt.direct_write_bytes(store, 0, &packed, &mut once).unwrap();
+                assert_eq!(staged.now(), once.now(), "{dt:?}");
+            }
+
+            // Scatter whole and short messages back: the typemap bytes
+            // land where `unpack` puts them, the gaps stay untouched.
+            for filled in [n, n - dt.size()] {
+                let dst = rt.alloc_array::<i32>(64, &mut c).unwrap();
+                rt.array_write(dst, 0, &[-1; 64], &mut c).unwrap();
+                let mut want = rt.heap().bytes(dst.handle()).unwrap().to_vec();
+                dt.unpack(&packed[..filled], count, &mut want[8..]).unwrap();
+                let dest = ArrayDest {
+                    handle: dst.handle(),
+                    byte_off: 8,
+                    byte_len: 256,
+                };
+                unstage_to_array(&mut rt, &mut c, store, &dest, count, dt, filled).unwrap();
+                assert_eq!(rt.heap().bytes(dst.handle()).unwrap(), &want[..], "{dt:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn huge_offsets_are_rejected_not_wrapped() {
+        let (mut rt, mut c) = setup();
+        let arr = rt.alloc_array::<i32>(4, &mut c).unwrap();
+        let store = rt.allocate_direct(64, &mut c);
+        assert_eq!(
+            stage_from_array(&mut rt, &mut c, store, arr.handle(), usize::MAX, 1, &INT),
+            Err(MrtError::IndexOutOfBounds {
+                index: usize::MAX,
+                length: 16
+            })
+        );
+        let dest = ArrayDest {
+            handle: arr.handle(),
+            byte_off: usize::MAX,
+            byte_len: 16,
+        };
+        assert_eq!(
+            unstage_to_array(&mut rt, &mut c, store, &dest, 1, &INT, 4),
+            Err(MrtError::IndexOutOfBounds {
+                index: usize::MAX,
+                length: 16
+            })
+        );
     }
 
     #[test]

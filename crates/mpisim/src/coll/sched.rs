@@ -234,7 +234,7 @@ impl Schedule {
                         debug_assert_ne!(world, me_world, "schedules never self-send");
                         eng.clock_mut().charge(self.perhop);
                         let data = &self.bufs[buf][off..off + len];
-                        let r = eng.isend_bytes(data, world, tag, self.ctx)?;
+                        let r = eng.isend_bytes(data.into(), world, tag, self.ctx)?;
                         posted.push((r, None));
                         obs::count("coll.nb.sends", 1);
                         obs::count("coll.nb.bytes", len as u64);

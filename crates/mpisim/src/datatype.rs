@@ -287,6 +287,10 @@ impl Datatype {
     /// Span of a single element up to the end of its last segment (an
     /// element's data may end before its extent).
     fn trailing_span(&self) -> usize {
+        if self.is_contiguous() {
+            // One gap-free segment `(0, size)`, or none when empty.
+            return self.size();
+        }
         self.segments().last().map(|&(o, l)| o + l).unwrap_or(0)
     }
 
@@ -298,6 +302,11 @@ impl Datatype {
                 needed,
                 available: src.len(),
             });
+        }
+        if self.is_contiguous() {
+            // Elements sit back to back without gaps: the packed form is
+            // the buffer prefix itself, one slice copy.
+            return Ok(src[..needed].to_vec());
         }
         let mut out = Vec::with_capacity(self.size() * count);
         let segs = self.segments();
@@ -332,6 +341,20 @@ impl Datatype {
                 needed,
                 available: dst.len(),
             });
+        }
+        if self.is_contiguous() {
+            // Whole elements first, then any ragged tail as a prefix of
+            // the next element — the same bytes, in the same order and
+            // with the same error, as the segment walk below.
+            dst[..needed].copy_from_slice(&data[..needed]);
+            if dst.len() < data.len() {
+                return Err(MpiError::BufferTooSmall {
+                    needed: data.len(),
+                    available: dst.len(),
+                });
+            }
+            dst[needed..data.len()].copy_from_slice(&data[needed..]);
+            return Ok(data.len());
         }
         let segs = self.segments();
         let ext = self.extent();
@@ -489,6 +512,224 @@ mod tests {
         let u = Datatype::indexed(vec![(0, 1)], INT).unwrap();
         // extent 4 == trailing span; span(3) = 12
         assert_eq!(u.span(3), 12);
+    }
+
+    /// Knuth LCG: every run replays the same cases.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn new(seed: u64) -> Self {
+            Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
+        }
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A random layout of every constructor, nested up to `depth`. About
+    /// half the derived draws are gap-free, so both pack paths get cases.
+    fn gen_type(rng: &mut Lcg, depth: usize) -> Datatype {
+        const BASICS: [Datatype; 7] = [BYTE, CHAR, SHORT, INT, LONG, FLOAT, DOUBLE];
+        if depth == 0 || rng.below(4) == 0 {
+            return BASICS[rng.below(BASICS.len())].clone();
+        }
+        let base = gen_type(rng, depth - 1);
+        let gapless = rng.below(2) == 0;
+        match rng.below(3) {
+            0 => Datatype::contiguous(rng.below(4), base),
+            1 => {
+                let count = 1 + rng.below(3);
+                let blocklength = 1 + rng.below(3);
+                let stride = if gapless {
+                    blocklength
+                } else {
+                    blocklength + 1 + rng.below(3)
+                };
+                Datatype::vector(count, blocklength, stride, base).unwrap()
+            }
+            _ => {
+                let mut disp = 0;
+                let mut blocks = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    if !gapless {
+                        disp += rng.below(3);
+                    }
+                    let len = 1 + rng.below(3);
+                    blocks.push((disp, len));
+                    disp += len;
+                }
+                Datatype::indexed(blocks, base).unwrap()
+            }
+        }
+    }
+
+    /// The general segment walk, kept verbatim as the reference the
+    /// contiguous fast paths must reproduce bit for bit.
+    fn walk_span(dt: &Datatype, count: usize) -> usize {
+        let trailing = dt.segments().last().map(|&(o, l)| o + l).unwrap_or(0);
+        if count == 0 {
+            0
+        } else {
+            (count - 1) * dt.extent() + trailing
+        }
+    }
+
+    fn walk_pack(dt: &Datatype, src: &[u8], count: usize) -> MpiResult<Vec<u8>> {
+        let needed = walk_span(dt, count);
+        if src.len() < needed {
+            return Err(MpiError::BufferTooSmall {
+                needed,
+                available: src.len(),
+            });
+        }
+        let mut out = Vec::new();
+        let ext = dt.extent();
+        for i in 0..count {
+            for &(off, len) in &dt.segments() {
+                out.extend_from_slice(&src[i * ext + off..i * ext + off + len]);
+            }
+        }
+        Ok(out)
+    }
+
+    fn walk_unpack(dt: &Datatype, data: &[u8], count: usize, dst: &mut [u8]) -> MpiResult<usize> {
+        let elem_size = dt.size();
+        if elem_size == 0 {
+            return Ok(0);
+        }
+        let full = data.len() / elem_size;
+        if full > count {
+            return Err(MpiError::Truncated {
+                incoming: data.len(),
+                capacity: elem_size * count,
+            });
+        }
+        let needed = walk_span(dt, full);
+        if dst.len() < needed {
+            return Err(MpiError::BufferTooSmall {
+                needed,
+                available: dst.len(),
+            });
+        }
+        let segs = dt.segments();
+        let ext = dt.extent();
+        let mut pos = 0;
+        for i in 0..full {
+            for &(off, len) in &segs {
+                dst[i * ext + off..i * ext + off + len].copy_from_slice(&data[pos..pos + len]);
+                pos += len;
+            }
+        }
+        let mut left = data.len() - pos;
+        for &(off, len) in &segs {
+            if left == 0 {
+                break;
+            }
+            let at = full * ext + off;
+            let take = left.min(len);
+            if dst.len() < at + take {
+                return Err(MpiError::BufferTooSmall {
+                    needed: at + take,
+                    available: dst.len(),
+                });
+            }
+            dst[at..at + take].copy_from_slice(&data[pos..pos + take]);
+            pos += take;
+            left -= take;
+        }
+        Ok(data.len())
+    }
+
+    fn noise(rng: &mut Lcg, n: usize) -> Vec<u8> {
+        (0..n).map(|_| rng.next() as u8).collect()
+    }
+
+    #[test]
+    fn pack_and_unpack_match_the_segment_walk() {
+        let mut rng = Lcg::new(12);
+        let mut contiguous = 0;
+        for _ in 0..400 {
+            let dt = gen_type(&mut rng, 3);
+            contiguous += dt.is_contiguous() as usize;
+            assert_eq!(dt.span(5), walk_span(&dt, 5), "{dt:?}");
+            for count in 0..6 {
+                let span = walk_span(&dt, count);
+                // Exact, short by one, short by a lot, and roomy sources.
+                for src_len in [span, span.saturating_sub(1), span / 2, span + 7] {
+                    let src = noise(&mut rng, src_len);
+                    assert_eq!(
+                        dt.pack(&src, count),
+                        walk_pack(&dt, &src, count),
+                        "{dt:?} x{count} from {src_len} bytes"
+                    );
+                }
+                // Short messages, ragged tails around every whole-element
+                // boundary up to one element past the capacity
+                // (truncation), into exact, short and roomy destinations.
+                let size = dt.size();
+                let mut lens: Vec<usize> = (0..=size.min(17)).collect();
+                for k in 1..=count + 1 {
+                    let at = k * size;
+                    lens.extend([at.saturating_sub(1), at, at + 1, at + size / 2]);
+                }
+                for data_len in lens {
+                    let data = noise(&mut rng, data_len);
+                    let fill = walk_span(&dt, count + 1);
+                    for dst_len in [span, span.saturating_sub(1), span / 2, fill + 3] {
+                        let init = noise(&mut rng, dst_len);
+                        let (mut got, mut want) = (init.clone(), init);
+                        assert_eq!(
+                            dt.unpack(&data, count, &mut got),
+                            walk_unpack(&dt, &data, count, &mut want),
+                            "{dt:?} x{count}: {data_len} bytes into {dst_len}"
+                        );
+                        assert_eq!(got, want, "{dt:?} x{count}: {data_len} into {dst_len}");
+                    }
+                }
+            }
+        }
+        // Both paths were exercised in bulk.
+        assert!(
+            contiguous > 100 && contiguous < 300,
+            "{contiguous} gap-free of 400"
+        );
+    }
+
+    #[test]
+    fn short_buffer_errors_carry_the_same_figures() {
+        let t = Datatype::contiguous(3, INT);
+        assert_eq!(
+            t.pack(&[0; 20], 2),
+            Err(MpiError::BufferTooSmall {
+                needed: 24,
+                available: 20
+            })
+        );
+        let mut dst = [0u8; 14];
+        // 3 whole INTs plus a 2-byte ragged tail into 14 bytes: the
+        // whole elements fit, the tail does not.
+        assert_eq!(
+            INT.unpack(&[7; 14], 4, &mut dst[..13]),
+            Err(MpiError::BufferTooSmall {
+                needed: 14,
+                available: 13
+            })
+        );
+        assert_eq!(&dst[..12], &[7; 12]);
+        assert_eq!(
+            t.unpack(&[0; 36], 2, &mut dst),
+            Err(MpiError::Truncated {
+                incoming: 36,
+                capacity: 24
+            })
+        );
     }
 
     #[test]

@@ -220,7 +220,13 @@ impl simfabric::FaultTarget for Frame {
     }
 }
 
-/// FNV-1a hasher for frame checksums (checksum field excluded).
+/// FNV-1a-style hasher for frame checksums (checksum field excluded),
+/// stepping a little-endian 8-byte word at a time with a byte tail.
+///
+/// Each step `h = (h ^ w) * P` is a bijection of `h` for a fixed word
+/// (`P` is odd), so two inputs that differ in exactly one word — in
+/// particular in one byte, which is what [`Frame::corrupt`] flips — always
+/// hash differently.
 struct Fnv(u64);
 
 impl Fnv {
@@ -228,12 +234,16 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.eat_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.eat_u64(b as u64);
         }
     }
     fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
+        self.0 = (self.0 ^ v).wrapping_mul(0x100_0000_01b3);
     }
 }
 
@@ -892,11 +902,13 @@ impl Engine {
 
     /// Non-blocking send of a contiguous byte payload.
     ///
-    /// The payload is captured immediately (MPI buffer-reuse semantics for
-    /// the simulation); timing follows the eager or rendezvous protocol.
+    /// The engine takes ownership of the payload (MPI buffer-reuse
+    /// semantics for the simulation): the caller's packed buffer becomes
+    /// the wire's payload without another copy. Timing follows the eager
+    /// or rendezvous protocol.
     pub fn isend_bytes(
         &mut self,
-        data: &[u8],
+        data: Box<[u8]>,
         dst: usize,
         tag: i32,
         context: u32,
@@ -919,12 +931,13 @@ impl Engine {
             flow: self.alloc_flow(),
             coll: self.coll_of(context),
         };
-        if data.len() <= path.eager_threshold {
+        let nbytes = data.len();
+        if nbytes <= path.eager_threshold {
             // Eager: CPU copy into the bounce buffer, inject, done.
-            wallprof::add(WpCounter::Allocs, 1); // payload capture below
-            self.clock.charge(path.eager_copy(data.len()));
+            wallprof::add(WpCounter::Allocs, 1); // the payload buffer handed over
+            self.clock.charge(path.eager_copy(nbytes));
             self.clock.charge(path.loggp.o_send());
-            let wire = path.header_bytes + data.len();
+            let wire = path.header_bytes + nbytes;
             let inject_at = self.clock.now();
             let arrival = self.inject_reliable(
                 dst,
@@ -932,16 +945,12 @@ impl Engine {
                 inject_at,
                 wire,
                 &path.loggp,
-                Wire::Eager {
-                    env,
-                    data: data.into(),
-                    stamp,
-                },
+                Wire::Eager { env, data, stamp },
             )?;
             obs::count("pt2pt.eager_msgs", 1);
-            obs::count("pt2pt.eager_bytes", data.len() as u64);
+            obs::count("pt2pt.eager_bytes", nbytes as u64);
             if obs::tracing_enabled() {
-                self.trace_send(stamp, "eager", dst, tag, data.len(), inject_at, arrival);
+                self.trace_send(stamp, "eager", dst, tag, nbytes, inject_at, arrival);
             }
             Ok(self.alloc_req(ReqState::Send(SendState::EagerDone {
                 complete_at: self.clock.now(),
@@ -950,18 +959,17 @@ impl Engine {
             // Rendezvous: inject RTS, park the payload until CTS.
             self.clock.charge(path.loggp.o_send());
             obs::count("pt2pt.rndv_msgs", 1);
-            obs::count("pt2pt.rndv_bytes", data.len() as u64);
+            obs::count("pt2pt.rndv_bytes", nbytes as u64);
             if obs::tracing_enabled() {
                 // The fabric span for the payload is emitted when the CTS
                 // triggers the actual transfer.
                 let now = self.clock.now();
-                self.trace_send(stamp, "rndv", dst, tag, data.len(), now, now);
+                self.trace_send(stamp, "rndv", dst, tag, nbytes, now, now);
             }
-            let nbytes = data.len();
             wallprof::add(WpCounter::Allocs, 1); // payload parked until CTS
             let req = self.alloc_req(ReqState::Send(SendState::AwaitCts {
                 dst,
-                data: data.into(),
+                data,
                 env,
                 stamp,
             }));
@@ -2262,7 +2270,7 @@ impl Engine {
 
     /// Blocking send.
     pub fn send_bytes(&mut self, data: &[u8], dst: usize, tag: i32, context: u32) -> MpiResult<()> {
-        let r = self.isend_bytes(data, dst, tag, context)?;
+        let r = self.isend_bytes(data.into(), dst, tag, context)?;
         self.wait(r).map(|_| ())
     }
 
@@ -2290,7 +2298,152 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::profile::Profile;
-    use simfabric::{run_cluster, Topology};
+    use simfabric::{run_cluster, FaultTarget, Topology};
+
+    /// One frame of every payload-bearing wire kind around `data`.
+    fn payload_wires(data: &[u8]) -> Vec<Wire> {
+        let env = Envelope {
+            src: 3,
+            tag: 17,
+            context: 2,
+        };
+        let stamp = FlowStamp { flow: 99, coll: 0 };
+        let data: Box<[u8]> = data.into();
+        vec![
+            Wire::Eager {
+                env,
+                data: data.clone(),
+                stamp,
+            },
+            Wire::RndvData {
+                env,
+                data: data.clone(),
+                stamp,
+            },
+            Wire::Put {
+                win: 1,
+                epoch: 4,
+                offset: 64,
+                data: data.clone(),
+                stamp,
+            },
+            Wire::GetReply {
+                req: 7,
+                data: data.clone(),
+                stamp,
+            },
+            Wire::Acc {
+                win: 1,
+                epoch: 4,
+                offset: 64,
+                op: ReduceOp::Sum,
+                data,
+                stamp,
+            },
+        ]
+    }
+
+    fn payload_mut(wire: &mut Wire) -> &mut Box<[u8]> {
+        match wire {
+            Wire::Eager { data, .. }
+            | Wire::RndvData { data, .. }
+            | Wire::Put { data, .. }
+            | Wire::GetReply { data, .. }
+            | Wire::Acc { data, .. } => data,
+            _ => unreachable!("payload kinds only"),
+        }
+    }
+
+    #[test]
+    fn every_single_byte_flip_changes_the_checksum() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for len in (0..=17).chain([64, 65_537]) {
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            // Short payloads: every byte with every mask. The long one:
+            // both ends, every word boundary near them and seeded
+            // positions in between, with each single-bit mask and 0xff.
+            let (positions, masks): (Vec<usize>, Vec<u8>) = if len <= 64 {
+                ((0..len).collect(), (1..=255).collect())
+            } else {
+                let mut at: Vec<usize> = (0..24).chain(len - 24..len).collect();
+                at.extend((0..16).map(|_| next() as usize % len));
+                (at, (0..8).map(|b| 1u8 << b).chain([0xff]).collect())
+            };
+            for mut wire in payload_wires(&data) {
+                let clean = frame_checksum(5, &wire);
+                for &at in &positions {
+                    for &mask in &masks {
+                        payload_mut(&mut wire)[at] ^= mask;
+                        assert_ne!(
+                            frame_checksum(5, &wire),
+                            clean,
+                            "len {len}, byte {at}, mask {mask:#x}: {wire:?}"
+                        );
+                        payload_mut(&mut wire)[at] ^= mask;
+                    }
+                }
+                assert_eq!(frame_checksum(5, &wire), clean);
+            }
+        }
+    }
+
+    #[test]
+    fn injected_corruption_is_always_rejected() {
+        let control = vec![
+            Wire::Rts {
+                env: Envelope {
+                    src: 0,
+                    tag: 1,
+                    context: 0,
+                },
+                sender_req: 3,
+                nbytes: 1 << 20,
+                stamp: FlowStamp::default(),
+            },
+            Wire::Cts { sender_req: 3 },
+            Wire::GetReq {
+                win: 1,
+                epoch: 2,
+                offset: 0,
+                nbytes: 64,
+                origin: 0,
+                req: 9,
+                stamp: FlowStamp::default(),
+            },
+        ];
+        // Control frames and empty payloads take the flip on the
+        // checksum itself; payload frames on one payload byte.
+        let wires = control
+            .into_iter()
+            .chain(payload_wires(&[]))
+            .chain(payload_wires(&[0x5a; 1000]));
+        for wire in wires {
+            let checksum = frame_checksum(11, &wire);
+            let pristine = Frame {
+                seq: 11,
+                checksum,
+                wire: Arc::new(wire),
+            };
+            for salt in (0..256).chain([u64::MAX, 0x8000_0000_0000_0000]) {
+                let mut frame = pristine.clone();
+                frame.corrupt(salt);
+                assert_ne!(
+                    frame.checksum,
+                    frame_checksum(frame.seq, &frame.wire),
+                    "salt {salt} slipped through: {:?}",
+                    pristine.wire
+                );
+                // The sender's copy is never damaged.
+                assert_eq!(pristine.checksum, frame_checksum(11, &pristine.wire));
+            }
+        }
+    }
 
     fn run2<R: Send>(f: impl Fn(&mut Engine) -> R + Sync) -> Vec<R> {
         run_cluster(Topology::new(2, 1), |ep| {
@@ -2403,8 +2556,8 @@ mod tests {
     fn nonblocking_overlap() {
         run2(|e| {
             if e.rank() == 0 {
-                let r1 = e.isend_bytes(&[1], 1, 1, 0).unwrap();
-                let r2 = e.isend_bytes(&[2], 1, 2, 0).unwrap();
+                let r1 = e.isend_bytes(Box::new([1]), 1, 1, 0).unwrap();
+                let r2 = e.isend_bytes(Box::new([2]), 1, 2, 0).unwrap();
                 e.wait(r1).unwrap();
                 e.wait(r2).unwrap();
             } else {
@@ -2445,7 +2598,7 @@ mod tests {
     fn wait_on_consumed_request_errors() {
         run2(|e| {
             if e.rank() == 0 {
-                let r = e.isend_bytes(&[1], 1, 0, 0).unwrap();
+                let r = e.isend_bytes(Box::new([1]), 1, 0, 0).unwrap();
                 e.wait(r).unwrap();
                 assert!(matches!(e.wait(r), Err(MpiError::InvalidRequest)));
             } else {
@@ -2458,7 +2611,7 @@ mod tests {
     fn invalid_rank_rejected() {
         run2(|e| {
             assert!(matches!(
-                e.isend_bytes(&[1], 99, 0, 0),
+                e.isend_bytes(Box::new([1]), 99, 0, 0),
                 Err(MpiError::InvalidRank { .. })
             ));
         });
@@ -2561,7 +2714,7 @@ mod tests {
             if e.rank() == 0 {
                 // Eager send allocates request id 1 and completes without
                 // awaiting a CTS; keep the request live (not waited).
-                let _r = e.isend_bytes(&[1, 2, 3], 1, 0, 0).unwrap();
+                let _r = e.isend_bytes(Box::new([1, 2, 3]), 1, 0, 0).unwrap();
                 let r2 = e.irecv_bytes(8, 1, 1, 0).unwrap();
                 let err = e.wait(r2).unwrap_err();
                 assert!(matches!(err, MpiError::ProtocolError(_)), "{err:?}");

@@ -417,7 +417,9 @@ impl Mpi {
         let wdst = self.world_dst(comm, dst)?;
         let ctx = self.info(comm)?.pt2pt_context();
         let payload = self.pack_payload(buf, count, dt)?;
-        let raw = self.eng.isend_bytes(&payload, wdst, tag, ctx);
+        let raw = self
+            .eng
+            .isend_bytes(payload.into_boxed_slice(), wdst, tag, ctx);
         let raw = self.route(comm, raw)?;
         Ok(MpiRequest {
             raw: ReqKind::P2p(raw),

@@ -274,3 +274,49 @@ fn slowdown_shifts_timing_but_not_results() {
         fast[1].1
     );
 }
+
+#[test]
+fn lossy_run_detects_and_retransmits_exactly_as_pinned() {
+    // Eager and rendezvous payloads of every length class over the
+    // lossy plan, with per-rank fault pvars recorded. The counts are a
+    // function of the plan's seeded fates alone: they pin that the frame
+    // checksum rejects exactly the copies the plan corrupted, no more and
+    // no fewer, however the checksum is computed.
+    let counts = run_mpi_faulty(
+        Topology::new(2, 1),
+        Profile::mvapich2(),
+        lossy_plan(42),
+        |mpi| {
+            let w = mpi.world();
+            let me = mpi.rank(w).unwrap();
+            obs::install(me, obs::ObsOptions::default());
+            for (iter, n) in [5usize, 64, 1023, 9000, 40_000]
+                .iter()
+                .cycle()
+                .take(400)
+                .enumerate()
+            {
+                let mut buf: Vec<u8> = (0..*n).map(|i| (i * 7 + iter) as u8).collect();
+                let peer = 1 - me;
+                if (iter + me) % 2 == 0 {
+                    mpi.send(&buf, *n as i32, &BYTE, peer, 3, w).unwrap();
+                } else {
+                    mpi.recv(&mut buf, *n as i32, &BYTE, peer as i32, 3, w)
+                        .unwrap();
+                }
+            }
+            mpi.barrier(w).unwrap();
+            let pvars = obs::uninstall().expect("recorder installed").pvars;
+            [
+                "fabric.corrupt_detected",
+                "fabric.retransmits",
+                "fabric.drops_injected",
+                "fabric.dups_suppressed",
+            ]
+            .map(|name| pvars.counter(name))
+        },
+    );
+    // [corrupt_detected, retransmits, drops_injected, dups_suppressed]
+    // per rank, as the byte-at-a-time checksum counted them.
+    assert_eq!(counts, vec![[7, 22, 15, 17], [7, 23, 16, 2]]);
+}

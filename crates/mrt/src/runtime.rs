@@ -7,12 +7,14 @@
 //! `array_get/array_set` and `direct_get/direct_put` costs is what makes
 //! the paper's Section VI-F (Figure 18) reproducible.
 
+use std::ops::Range;
+
 use vtime::{Clock, CostModel, VDur};
 
 use crate::array::{decode_slice, encode_slice, JArray};
 use crate::buffer::{DirectBuffer, DirectRegion, HeapBuffer};
 use crate::error::{MrtError, MrtResult};
-use crate::heap::{GcStats, Heap};
+use crate::heap::{GcStats, Handle, Heap};
 use crate::prim::{ByteOrder, Prim};
 
 /// Default initial heap: 16 MiB.
@@ -246,7 +248,7 @@ impl Runtime {
         clock: &mut Clock,
     ) -> MrtResult<T> {
         let buf = self.direct.get(b)?;
-        if byte_idx + T::SIZE > buf.data.len() {
+        if byte_idx.saturating_add(T::SIZE) > buf.data.len() {
             return Err(MrtError::IndexOutOfBounds {
                 index: byte_idx,
                 length: buf.data.len(),
@@ -266,7 +268,7 @@ impl Runtime {
     ) -> MrtResult<()> {
         clock.charge(self.cost.direct_bb_loop(1));
         let buf = self.direct.get_mut(b)?;
-        if byte_idx + T::SIZE > buf.data.len() {
+        if byte_idx.saturating_add(T::SIZE) > buf.data.len() {
             return Err(MrtError::IndexOutOfBounds {
                 index: byte_idx,
                 length: buf.data.len(),
@@ -287,13 +289,8 @@ impl Runtime {
     ) -> MrtResult<()> {
         clock.charge(self.cost.memcpy(src.len()));
         let buf = self.direct.get_mut(b)?;
-        if off + src.len() > buf.data.len() {
-            return Err(MrtError::BufferOverflow {
-                needed: off + src.len(),
-                available: buf.data.len(),
-            });
-        }
-        buf.data[off..off + src.len()].copy_from_slice(src);
+        let to = buffer_range(off, src.len(), buf.data.len())?;
+        buf.data[to].copy_from_slice(src);
         Ok(())
     }
 
@@ -307,13 +304,51 @@ impl Runtime {
     ) -> MrtResult<()> {
         clock.charge(self.cost.memcpy(out.len()));
         let buf = self.direct.get(b)?;
-        if off + out.len() > buf.data.len() {
-            return Err(MrtError::BufferOverflow {
-                needed: off + out.len(),
-                available: buf.data.len(),
-            });
-        }
-        out.copy_from_slice(&buf.data[off..off + out.len()]);
+        let from = buffer_range(off, out.len(), buf.data.len())?;
+        out.copy_from_slice(&buf.data[from]);
+        Ok(())
+    }
+
+    /// Copy `nbytes` of the managed object `src`, from byte `src_off`,
+    /// into a direct buffer at `byte_off` — one bulk, arraycopy-class
+    /// copy, straight from heap to native memory.
+    pub fn direct_write_from_heap(
+        &mut self,
+        b: DirectBuffer,
+        byte_off: usize,
+        src: Handle,
+        src_off: usize,
+        nbytes: usize,
+        clock: &mut Clock,
+    ) -> MrtResult<()> {
+        clock.charge(self.cost.memcpy(nbytes));
+        // `heap` and `direct` are disjoint fields: borrow both at once.
+        let obj = self.heap.bytes(src)?;
+        let from = index_range(src_off, nbytes, obj.len())?;
+        let buf = self.direct.get_mut(b)?;
+        let to = buffer_range(byte_off, nbytes, buf.data.len())?;
+        buf.data[to].copy_from_slice(&obj[from]);
+        Ok(())
+    }
+
+    /// Copy `nbytes` of a direct buffer, from `byte_off`, into the
+    /// managed object `dst` at byte `dst_off` — the unstaging
+    /// counterpart of [`Runtime::direct_write_from_heap`].
+    pub fn direct_read_into_heap(
+        &mut self,
+        b: DirectBuffer,
+        byte_off: usize,
+        dst: Handle,
+        dst_off: usize,
+        nbytes: usize,
+        clock: &mut Clock,
+    ) -> MrtResult<()> {
+        clock.charge(self.cost.memcpy(nbytes));
+        let buf = self.direct.get(b)?;
+        let from = buffer_range(byte_off, nbytes, buf.data.len())?;
+        let obj = self.heap.bytes_mut(dst)?;
+        let to = index_range(dst_off, nbytes, obj.len())?;
+        obj[to].copy_from_slice(&buf.data[from]);
         Ok(())
     }
 
@@ -328,24 +363,9 @@ impl Runtime {
         elems: usize,
         clock: &mut Clock,
     ) -> MrtResult<()> {
-        if elem_off + elems > arr.len {
-            return Err(MrtError::IndexOutOfBounds {
-                index: elem_off + elems,
-                length: arr.len,
-            });
-        }
-        let nbytes = elems * T::SIZE;
-        clock.charge(self.cost.memcpy(nbytes));
-        let src = self.heap.bytes(arr.handle)?[elem_off * T::SIZE..][..nbytes].to_vec();
-        let buf = self.direct.get_mut(b)?;
-        if byte_off + nbytes > buf.data.len() {
-            return Err(MrtError::BufferOverflow {
-                needed: byte_off + nbytes,
-                available: buf.data.len(),
-            });
-        }
-        buf.data[byte_off..byte_off + nbytes].copy_from_slice(&src);
-        Ok(())
+        index_range(elem_off, elems, arr.len)?;
+        let (off, nbytes) = (elem_off * T::SIZE, elems * T::SIZE);
+        self.direct_write_from_heap(b, byte_off, arr.handle, off, nbytes, clock)
     }
 
     /// Copy a direct-buffer region into a managed array — the buffering
@@ -359,27 +379,9 @@ impl Runtime {
         elems: usize,
         clock: &mut Clock,
     ) -> MrtResult<()> {
-        if elem_off + elems > arr.len {
-            return Err(MrtError::IndexOutOfBounds {
-                index: elem_off + elems,
-                length: arr.len,
-            });
-        }
-        let nbytes = elems * T::SIZE;
-        clock.charge(self.cost.memcpy(nbytes));
-        let src = {
-            let buf = self.direct.get(b)?;
-            if byte_off + nbytes > buf.data.len() {
-                return Err(MrtError::BufferOverflow {
-                    needed: byte_off + nbytes,
-                    available: buf.data.len(),
-                });
-            }
-            buf.data[byte_off..byte_off + nbytes].to_vec()
-        };
-        let dst = self.heap.bytes_mut(arr.handle)?;
-        dst[elem_off * T::SIZE..][..nbytes].copy_from_slice(&src);
-        Ok(())
+        index_range(elem_off, elems, arr.len)?;
+        let (off, nbytes) = (elem_off * T::SIZE, elems * T::SIZE);
+        self.direct_read_into_heap(b, byte_off, arr.handle, off, nbytes, clock)
     }
 
     /// Raw storage access — only the JNI-analog boundary should use this
@@ -426,7 +428,7 @@ impl Runtime {
         clock: &mut Clock,
     ) -> MrtResult<T> {
         let bytes = self.heap.bytes(b.handle)?;
-        if byte_idx + T::SIZE > bytes.len() {
+        if byte_idx.saturating_add(T::SIZE) > bytes.len() {
             return Err(MrtError::IndexOutOfBounds {
                 index: byte_idx,
                 length: bytes.len(),
@@ -446,7 +448,7 @@ impl Runtime {
     ) -> MrtResult<()> {
         clock.charge(self.cost.heap_bb_loop(1));
         let bytes = self.heap.bytes_mut(b.handle)?;
-        if byte_idx + T::SIZE > bytes.len() {
+        if byte_idx.saturating_add(T::SIZE) > bytes.len() {
             return Err(MrtError::IndexOutOfBounds {
                 index: byte_idx,
                 length: bytes.len(),
@@ -455,6 +457,30 @@ impl Runtime {
         v.encode(&mut bytes[byte_idx..], b.order);
         Ok(())
     }
+}
+
+/// `off..off + len` if it lies within a direct buffer of `avail` bytes.
+/// The end saturates, so a huge offset fails the check instead of
+/// wrapping past it.
+fn buffer_range(off: usize, len: usize, avail: usize) -> MrtResult<Range<usize>> {
+    let end = off.saturating_add(len);
+    if end > avail {
+        return Err(MrtError::BufferOverflow {
+            needed: end,
+            available: avail,
+        });
+    }
+    Ok(off..end)
+}
+
+/// `off..off + len` if it lies within an array or managed object of
+/// `length` units (saturating like [`buffer_range`]).
+fn index_range(off: usize, len: usize, length: usize) -> MrtResult<Range<usize>> {
+    let end = off.saturating_add(len);
+    if end > length {
+        return Err(MrtError::IndexOutOfBounds { index: end, length });
+    }
+    Ok(off..end)
 }
 
 #[cfg(test)]
@@ -563,6 +589,107 @@ mod tests {
         assert_eq!(rt.array_get(b2, 2, &mut c).unwrap(), 11);
         assert_eq!(rt.array_get(b2, 5, &mut c).unwrap(), 14);
         assert_eq!(rt.array_get(b2, 0, &mut c).unwrap(), 0);
+    }
+
+    #[test]
+    fn huge_offsets_fail_with_typed_errors() {
+        let (mut rt, mut c) = setup();
+        let a = rt.alloc_array::<i32>(4, &mut c).unwrap();
+        let d = rt.allocate_direct(16, &mut c);
+        let hb = rt.allocate_heap_buffer(16, &mut c).unwrap();
+        let overflow = Err(MrtError::BufferOverflow {
+            needed: usize::MAX,
+            available: 16,
+        });
+        let past_array = Err(MrtError::IndexOutOfBounds {
+            index: usize::MAX,
+            length: 4,
+        });
+        let mut out = [0u8; 4];
+        assert_eq!(
+            rt.direct_write_bytes(d, usize::MAX, &[1, 2], &mut c),
+            overflow
+        );
+        assert_eq!(
+            rt.direct_read_bytes(d, usize::MAX, &mut out, &mut c),
+            overflow
+        );
+        assert_eq!(
+            rt.direct_write_from_array(d, usize::MAX, a, 0, 2, &mut c),
+            overflow
+        );
+        assert_eq!(
+            rt.direct_read_into_array(d, usize::MAX, a, 0, 2, &mut c),
+            overflow
+        );
+        for (off, elems) in [(usize::MAX, 2), (1, usize::MAX)] {
+            assert_eq!(
+                rt.direct_write_from_array(d, 0, a, off, elems, &mut c),
+                past_array
+            );
+            assert_eq!(
+                rt.direct_read_into_array(d, 0, a, off, elems, &mut c),
+                past_array
+            );
+        }
+        let past_object = Err(MrtError::IndexOutOfBounds {
+            index: usize::MAX,
+            length: 16,
+        });
+        assert_eq!(
+            rt.direct_write_from_heap(d, 0, a.handle(), usize::MAX, 4, &mut c),
+            past_object
+        );
+        assert_eq!(
+            rt.direct_read_into_heap(d, 0, a.handle(), usize::MAX, 4, &mut c),
+            past_object
+        );
+        let idx = usize::MAX - 1;
+        let past_idx = MrtError::IndexOutOfBounds {
+            index: idx,
+            length: 16,
+        };
+        assert_eq!(rt.direct_get::<i32>(d, idx, &mut c), Err(past_idx.clone()));
+        assert_eq!(rt.direct_put(d, idx, 1i32, &mut c), Err(past_idx.clone()));
+        assert_eq!(rt.heap_get::<i32>(hb, idx, &mut c), Err(past_idx.clone()));
+        assert_eq!(rt.heap_put(hb, idx, 1i32, &mut c), Err(past_idx));
+    }
+
+    #[test]
+    fn heap_and_direct_copies_move_byte_ranges() {
+        let (mut rt, mut c) = setup();
+        let a = rt.alloc_array::<i8>(8, &mut c).unwrap();
+        rt.array_write(a, 0, &[1, 2, 3, 4, 5, 6, 7, 8], &mut c)
+            .unwrap();
+        let d = rt.allocate_direct(8, &mut c);
+        let (mut by_handle, mut by_slice) = (Clock::new(), Clock::new());
+        rt.direct_write_from_heap(d, 2, a.handle(), 3, 4, &mut by_handle)
+            .unwrap();
+        // Charged exactly like the byte-slice copy of the same length.
+        rt.direct_write_bytes(d, 2, &[4, 5, 6, 7], &mut by_slice)
+            .unwrap();
+        assert_eq!(by_handle.now(), by_slice.now());
+        assert_eq!(rt.direct_bytes(d).unwrap(), &[0, 0, 4, 5, 6, 7, 0, 0]);
+        rt.direct_read_into_heap(d, 2, a.handle(), 0, 3, &mut c)
+            .unwrap();
+        assert_eq!(
+            rt.heap().bytes(a.handle()).unwrap(),
+            &[4, 5, 6, 4, 5, 6, 7, 8]
+        );
+        assert_eq!(
+            rt.direct_write_from_heap(d, 6, a.handle(), 0, 4, &mut c),
+            Err(MrtError::BufferOverflow {
+                needed: 10,
+                available: 8
+            })
+        );
+        assert_eq!(
+            rt.direct_read_into_heap(d, 0, a.handle(), 6, 4, &mut c),
+            Err(MrtError::IndexOutOfBounds {
+                index: 10,
+                length: 8
+            })
+        );
     }
 
     #[test]
