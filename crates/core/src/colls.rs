@@ -8,7 +8,10 @@
 //!
 //! Array variants stage the whole participating region through a pooled
 //! direct buffer (one bulk copy each way); buffer variants hand the
-//! native library the buffer's stable storage.
+//! native library the buffer's stable storage. Either way the native
+//! call reads and writes that storage in place. A send and a receive
+//! buffer must be distinct: one direct buffer passed as both fails with
+//! [`mrt::MrtError::AliasedBuffers`] (MPI forbids aliasing them).
 
 use mpisim::datatype::Datatype;
 use mpisim::{CommHandle, ReduceOp};
@@ -22,32 +25,25 @@ use crate::error::{BindError, BindResult};
 use crate::request::ArrayDest;
 use crate::stage::{stage_from_array, unstage_to_array};
 
+/// A buffer argument significant only at the root, which must supply it.
+fn required_at_root<B>(buf: Option<B>) -> BindResult<B> {
+    buf.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
+        needed: 0,
+        available: 0,
+    }))
+}
+
 impl Env {
-    /// Uncharged snapshot of a direct buffer's storage (the native
-    /// library reads it in place; the copy is a simulation artifact).
-    fn snapshot(&self, buf: DirectBuffer) -> BindResult<Vec<u8>> {
-        Ok(self.rt.direct_bytes(buf)?.to_vec())
-    }
-
-    /// Uncharged deposit back into a direct buffer (native DMA).
-    fn deposit(&mut self, buf: DirectBuffer, bytes: &[u8]) -> BindResult<()> {
-        self.rt.direct_bytes_mut(buf)?[..bytes.len()].copy_from_slice(bytes);
-        Ok(())
-    }
-
-    /// Stage the first `elems` elements of an array through a pooled
-    /// buffer: returns the staging buffer and a byte snapshot for the
-    /// native call. One charged bulk copy of exactly the participating
-    /// region.
+    /// Stage the first `elems` elements of an array into a pooled buffer:
+    /// one charged bulk copy of exactly the participating region.
     pub(crate) fn stage_region<T: Prim>(
         &mut self,
         arr: JArray<T>,
         elems: usize,
-    ) -> BindResult<(Buffer, Vec<u8>)> {
-        let nbytes = (elems * T::SIZE).max(1);
-        let clock = self.mpi.clock_mut();
-        let staging = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, nbytes);
+    ) -> BindResult<Buffer> {
+        let staging = self.stage_empty(elems * T::SIZE);
         let dt = datatype_of::<T>();
+        let clock = self.mpi.clock_mut();
         stage_from_array(
             &mut self.rt,
             clock,
@@ -57,72 +53,55 @@ impl Env {
             elems,
             &dt,
         )?;
-        let bytes = self.rt.direct_bytes(staging.store())?[..elems * T::SIZE].to_vec();
-        Ok((staging, bytes))
+        Ok(staging)
     }
 
-    /// Acquire a staging buffer for `elems` received elements without
-    /// copying in.
-    pub(crate) fn stage_empty<T: Prim>(
-        &mut self,
-        _arr: JArray<T>,
-        elems: usize,
-    ) -> BindResult<Buffer> {
-        let nbytes = (elems * T::SIZE).max(1);
+    /// Acquire a pooled staging buffer for `nbytes` without copying in.
+    pub(crate) fn stage_empty(&mut self, nbytes: usize) -> Buffer {
         let clock = self.mpi.clock_mut();
-        Ok(Buffer::from_pool(
-            &mut self.pool,
-            &mut self.rt,
-            clock,
-            nbytes,
-        ))
+        Buffer::from_pool(&mut self.pool, &mut self.rt, clock, nbytes.max(1))
     }
 
-    /// Deposit `bytes` into the staging buffer (uncharged: native DMA),
-    /// scatter them into the first `bytes.len()` bytes of the array
-    /// (charged), and return the staging buffer to the pool.
+    /// Scatter the first `nbytes` the native library deposited into the
+    /// staging buffer over the start of the array (charged), and return
+    /// the staging buffer to the pool.
     fn unstage_region<T: Prim>(
         &mut self,
         staging: Buffer,
         arr: JArray<T>,
-        bytes: &[u8],
+        nbytes: usize,
     ) -> BindResult<()> {
-        self.rt.direct_bytes_mut(staging.store())?[..bytes.len()].copy_from_slice(bytes);
         let dt = datatype_of::<T>();
         let dest = ArrayDest {
             handle: arr.handle(),
             byte_off: 0,
             byte_len: arr.byte_len(),
         };
-        let elems = bytes.len() / T::SIZE;
         let clock = self.mpi.clock_mut();
-        unstage_to_array(
+        let unstaged = unstage_to_array(
             &mut self.rt,
             clock,
             staging.store(),
             &dest,
-            elems,
+            nbytes / T::SIZE,
             &dt,
-            bytes.len(),
-        )?;
-        let clock = self.mpi.clock_mut();
-        staging.free(&mut self.pool, &mut self.rt, clock);
-        Ok(())
+            nbytes,
+        );
+        self.release_staging(staging);
+        Ok(unstaged?)
     }
 
-    /// Return a staging buffer without unstaging (send side).
-    fn release_staging(&mut self, staging: Buffer) {
-        let clock = self.mpi.clock_mut();
-        staging.free(&mut self.pool, &mut self.rt, clock);
-    }
-
-    fn charge_addr(&mut self) {
-        let cost = *self.rt.cost();
-        let clock = self.mpi.clock_mut();
-        clock.charge(cost.jni_transition());
-        clock.charge(vtime::VDur::from_nanos(
-            cost.jni.get_direct_buffer_address_ns,
-        ));
+    /// Receive staging seeded with the array's current contents
+    /// (uncharged): scatters and vectored collectives fill only their
+    /// blocks, and everything else must unstage unchanged.
+    fn stage_seeded<T: Prim>(&mut self, arr: JArray<T>) -> BindResult<Buffer> {
+        let n = arr.byte_len();
+        let staging = self.stage_empty(n);
+        let (obj, store) = self
+            .rt
+            .heap_and_direct_bytes(arr.handle(), staging.store())?;
+        store[..n].copy_from_slice(&obj[..n]);
+        Ok(staging)
     }
 
     // ------------------------------------------------------------------
@@ -150,10 +129,10 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let mut temp = self.snapshot(buf)?;
-        self.mpi.bcast(&mut temp, count, dt, root, comm)?;
-        self.deposit(buf, &temp)
+        self.charge_buffer_address();
+        let bytes = self.rt.direct_bytes_mut(buf)?;
+        self.mpi.bcast(bytes, count, dt, root, comm)?;
+        Ok(())
     }
 
     /// `comm.bcast(type[] arr, count, datatype, root)`.
@@ -168,19 +147,21 @@ impl Env {
         let me = self.mpi.rank(comm)?;
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
-        if me == root {
-            let (staging, mut temp) = self.stage_region(arr, elems)?;
-            self.charge_addr();
-            self.mpi.bcast(&mut temp, count, &dt, root, comm)?;
-            self.release_staging(staging);
+        let n = elems * T::SIZE;
+        let staging = if me == root {
+            self.stage_region(arr, elems)?
         } else {
-            let staging = self.stage_empty(arr, elems)?;
-            let mut temp = vec![0u8; elems * T::SIZE];
-            self.charge_addr();
-            self.mpi.bcast(&mut temp, count, &dt, root, comm)?;
-            self.unstage_region(staging, arr, &temp)?;
+            self.stage_empty(n)
+        };
+        self.charge_buffer_address();
+        let bytes = &mut self.rt.direct_bytes_mut(staging.store())?[..n];
+        self.mpi.bcast(bytes, count, &dt, root, comm)?;
+        if me == root {
+            self.release_staging(staging);
+            Ok(())
+        } else {
+            self.unstage_region(staging, arr, n)
         }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -201,21 +182,20 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
+        self.charge_buffer_address();
         let me = self.mpi.rank(comm)?;
         if me == root {
             let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
                 needed: dt.span(count.max(0) as usize),
                 available: 0,
             }))?;
-            let mut temp = self.snapshot(out)?;
+            let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(send, out)?;
             self.mpi
-                .reduce(&sendbytes, Some(&mut temp), count, dt, op, root, comm)?;
-            self.deposit(out, &temp)?;
+                .reduce(sendbytes, Some(recvbytes), count, dt, op, root, comm)?;
         } else {
+            let sendbytes = self.rt.direct_bytes(send)?;
             self.mpi
-                .reduce(&sendbytes, None, count, dt, op, root, comm)?;
+                .reduce(sendbytes, None, count, dt, op, root, comm)?;
         }
         Ok(())
     }
@@ -234,22 +214,25 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
-        let (staging, sendbytes) = self.stage_region(send, elems)?;
-        self.charge_addr();
+        let n = elems * T::SIZE;
+        let staging = self.stage_region(send, elems)?;
+        self.charge_buffer_address();
         let me = self.mpi.rank(comm)?;
         if me == root {
             let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
                 needed: dt.span(elems),
                 available: 0,
             }))?;
-            let rstaging = self.stage_empty(out, elems)?;
-            let mut temp = vec![0u8; elems * T::SIZE];
+            let rstaging = self.stage_empty(n);
+            let (s, r) = self
+                .rt
+                .direct_bytes_pair(staging.store(), rstaging.store())?;
             self.mpi
-                .reduce(&sendbytes, Some(&mut temp), count, &dt, op, root, comm)?;
-            self.unstage_region(rstaging, out, &temp)?;
+                .reduce(&s[..n], Some(&mut r[..n]), count, &dt, op, root, comm)?;
+            self.unstage_region(rstaging, out, n)?;
         } else {
-            self.mpi
-                .reduce(&sendbytes, None, count, &dt, op, root, comm)?;
+            let s = self.rt.direct_bytes(staging.store())?;
+            self.mpi.reduce(&s[..n], None, count, &dt, op, root, comm)?;
         }
         self.release_staging(staging);
         Ok(())
@@ -266,12 +249,11 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
+        self.charge_buffer_address();
+        let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(send, recv)?;
         self.mpi
-            .allreduce(&sendbytes, &mut temp, count, dt, op, comm)?;
-        self.deposit(recv, &temp)
+            .allreduce(sendbytes, recvbytes, count, dt, op, comm)?;
+        Ok(())
     }
 
     /// Array flavour of allreduce.
@@ -286,13 +268,16 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
-        let (staging, sendbytes) = self.stage_region(send, elems)?;
-        let rstaging = self.stage_empty(recv, elems)?;
-        self.charge_addr();
-        let mut temp = vec![0u8; elems * T::SIZE];
+        let n = elems * T::SIZE;
+        let staging = self.stage_region(send, elems)?;
+        let rstaging = self.stage_empty(n);
+        self.charge_buffer_address();
+        let (s, r) = self
+            .rt
+            .direct_bytes_pair(staging.store(), rstaging.store())?;
         self.mpi
-            .allreduce(&sendbytes, &mut temp, count, &dt, op, comm)?;
-        self.unstage_region(rstaging, recv, &temp)?;
+            .allreduce(&s[..n], &mut r[..n], count, &dt, op, comm)?;
+        self.unstage_region(rstaging, recv, n)?;
         self.release_staging(staging);
         Ok(())
     }
@@ -314,20 +299,16 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
+        self.charge_buffer_address();
         let me = self.mpi.rank(comm)?;
         if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let mut temp = self.snapshot(out)?;
+            let out = required_at_root(recv)?;
+            let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(send, out)?;
             self.mpi
-                .gather(&sendbytes, Some(&mut temp), count, dt, root, comm)?;
-            self.deposit(out, &temp)?;
+                .gather(sendbytes, Some(recvbytes), count, dt, root, comm)?;
         } else {
-            self.mpi.gather(&sendbytes, None, count, dt, root, comm)?;
+            let sendbytes = self.rt.direct_bytes(send)?;
+            self.mpi.gather(sendbytes, None, count, dt, root, comm)?;
         }
         Ok(())
     }
@@ -345,22 +326,23 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
+        let n = elems * T::SIZE;
         let p = self.mpi.size(comm)?;
-        let (staging, sendbytes) = self.stage_region(send, elems)?;
-        self.charge_addr();
+        let staging = self.stage_region(send, elems)?;
+        self.charge_buffer_address();
         let me = self.mpi.rank(comm)?;
         if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let rstaging = self.stage_empty(out, elems * p)?;
-            let mut temp = vec![0u8; elems * p * T::SIZE];
+            let out = required_at_root(recv)?;
+            let rstaging = self.stage_empty(n * p);
+            let (s, r) = self
+                .rt
+                .direct_bytes_pair(staging.store(), rstaging.store())?;
             self.mpi
-                .gather(&sendbytes, Some(&mut temp), count, &dt, root, comm)?;
-            self.unstage_region(rstaging, out, &temp)?;
+                .gather(&s[..n], Some(&mut r[..n * p]), count, &dt, root, comm)?;
+            self.unstage_region(rstaging, out, n * p)?;
         } else {
-            self.mpi.gather(&sendbytes, None, count, &dt, root, comm)?;
+            let s = self.rt.direct_bytes(staging.store())?;
+            self.mpi.gather(&s[..n], None, count, &dt, root, comm)?;
         }
         self.release_staging(staging);
         Ok(())
@@ -380,29 +362,25 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
+        self.charge_buffer_address();
         let me = self.mpi.rank(comm)?;
         if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let mut temp = self.snapshot(out)?;
+            let out = required_at_root(recv)?;
+            let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(send, out)?;
             self.mpi.gatherv(
-                &sendbytes,
+                sendbytes,
                 sendcount,
-                Some(&mut temp),
+                Some(recvbytes),
                 recvcounts,
                 displs,
                 dt,
                 root,
                 comm,
             )?;
-            self.deposit(out, &temp)?;
         } else {
+            let sendbytes = self.rt.direct_bytes(send)?;
             self.mpi.gatherv(
-                &sendbytes, sendcount, None, recvcounts, displs, dt, root, comm,
+                sendbytes, sendcount, None, recvcounts, displs, dt, root, comm,
             )?;
         }
         Ok(())
@@ -422,40 +400,33 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let (staging, sendbytes) = self.stage_region(send, send.len())?;
-        self.charge_addr();
+        let staging = self.stage_region(send, send.len())?;
+        self.charge_buffer_address();
         let me = self.mpi.rank(comm)?;
         if me == root {
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let rstaging = self.stage_empty(out, out.len())?;
-            // Seed with current contents: gatherv only fills the blocks.
-            let mut temp = self.array_snapshot(out)?;
+            let out = required_at_root(recv)?;
+            let rstaging = self.stage_seeded(out)?;
+            let (s, r) = self
+                .rt
+                .direct_bytes_pair(staging.store(), rstaging.store())?;
             self.mpi.gatherv(
-                &sendbytes,
+                &s[..send.byte_len()],
                 sendcount,
-                Some(&mut temp),
+                Some(&mut r[..out.byte_len()]),
                 recvcounts,
                 displs,
                 &dt,
                 root,
                 comm,
             )?;
-            self.unstage_region(rstaging, out, &temp)?;
+            self.unstage_region(rstaging, out, out.byte_len())?;
         } else {
-            self.mpi.gatherv(
-                &sendbytes, sendcount, None, recvcounts, displs, &dt, root, comm,
-            )?;
+            let s = &self.rt.direct_bytes(staging.store())?[..send.byte_len()];
+            self.mpi
+                .gatherv(s, sendcount, None, recvcounts, displs, &dt, root, comm)?;
         }
         self.release_staging(staging);
         Ok(())
-    }
-
-    /// Uncharged byte snapshot of an array (seeding receive temps).
-    fn array_snapshot<T: Prim>(&self, arr: JArray<T>) -> BindResult<Vec<u8>> {
-        Ok(self.rt.heap().bytes(arr.handle())?.to_vec())
     }
 
     /// `comm.scatter` over buffers; `send` significant at root.
@@ -470,21 +441,18 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
+        self.charge_buffer_address();
         let me = self.mpi.rank(comm)?;
-        let mut temp = self.snapshot(recv)?;
         if me == root {
-            let src = send.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let sendbytes = self.snapshot(src)?;
+            let src = required_at_root(send)?;
+            let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(src, recv)?;
             self.mpi
-                .scatter(Some(&sendbytes), &mut temp, count, dt, root, comm)?;
+                .scatter(Some(sendbytes), recvbytes, count, dt, root, comm)?;
         } else {
-            self.mpi.scatter(None, &mut temp, count, dt, root, comm)?;
+            let recvbytes = self.rt.direct_bytes_mut(recv)?;
+            self.mpi.scatter(None, recvbytes, count, dt, root, comm)?;
         }
-        self.deposit(recv, &temp)
+        Ok(())
     }
 
     /// Array flavour of scatter.
@@ -500,23 +468,31 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let me = self.mpi.rank(comm)?;
-        let rstaging = self.stage_empty(recv, recv.len())?;
-        let mut temp = vec![0u8; recv.byte_len()];
+        let n = recv.byte_len();
+        // Seeded: elements past the received block unstage unchanged.
+        let rstaging = self.stage_seeded(recv)?;
         if me == root {
-            let src = send.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let (staging, sendbytes) = self.stage_region(src, src.len())?;
-            self.charge_addr();
-            self.mpi
-                .scatter(Some(&sendbytes), &mut temp, count, &dt, root, comm)?;
+            let src = required_at_root(send)?;
+            let staging = self.stage_region(src, src.len())?;
+            self.charge_buffer_address();
+            let (s, r) = self
+                .rt
+                .direct_bytes_pair(staging.store(), rstaging.store())?;
+            self.mpi.scatter(
+                Some(&s[..src.byte_len()]),
+                &mut r[..n],
+                count,
+                &dt,
+                root,
+                comm,
+            )?;
             self.release_staging(staging);
         } else {
-            self.charge_addr();
-            self.mpi.scatter(None, &mut temp, count, &dt, root, comm)?;
+            self.charge_buffer_address();
+            let r = &mut self.rt.direct_bytes_mut(rstaging.store())?[..n];
+            self.mpi.scatter(None, r, count, &dt, root, comm)?;
         }
-        self.unstage_region(rstaging, recv, &temp)
+        self.unstage_region(rstaging, recv, n)
     }
 
     /// `comm.scatterv` over buffers.
@@ -533,31 +509,28 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
+        self.charge_buffer_address();
         let me = self.mpi.rank(comm)?;
-        let mut temp = self.snapshot(recv)?;
         if me == root {
-            let src = send.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let sendbytes = self.snapshot(src)?;
+            let src = required_at_root(send)?;
+            let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(src, recv)?;
             self.mpi.scatterv(
-                Some(&sendbytes),
+                Some(sendbytes),
                 sendcounts,
                 displs,
-                &mut temp,
+                recvbytes,
                 recvcount,
                 dt,
                 root,
                 comm,
             )?;
         } else {
+            let recvbytes = self.rt.direct_bytes_mut(recv)?;
             self.mpi.scatterv(
-                None, sendcounts, displs, &mut temp, recvcount, dt, root, comm,
+                None, sendcounts, displs, recvbytes, recvcount, dt, root, comm,
             )?;
         }
-        self.deposit(recv, &temp)
+        Ok(())
     }
 
     /// Array flavour of scatterv.
@@ -575,20 +548,20 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let me = self.mpi.rank(comm)?;
-        let rstaging = self.stage_empty(recv, recv.len())?;
-        let mut temp = self.array_snapshot(recv)?;
+        let n = recv.byte_len();
+        let rstaging = self.stage_seeded(recv)?;
         if me == root {
-            let src = send.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: 0,
-                available: 0,
-            }))?;
-            let (staging, sendbytes) = self.stage_region(src, src.len())?;
-            self.charge_addr();
+            let src = required_at_root(send)?;
+            let staging = self.stage_region(src, src.len())?;
+            self.charge_buffer_address();
+            let (s, r) = self
+                .rt
+                .direct_bytes_pair(staging.store(), rstaging.store())?;
             self.mpi.scatterv(
-                Some(&sendbytes),
+                Some(&s[..src.byte_len()]),
                 sendcounts,
                 displs,
-                &mut temp,
+                &mut r[..n],
                 recvcount,
                 &dt,
                 root,
@@ -596,12 +569,12 @@ impl Env {
             )?;
             self.release_staging(staging);
         } else {
-            self.charge_addr();
-            self.mpi.scatterv(
-                None, sendcounts, displs, &mut temp, recvcount, &dt, root, comm,
-            )?;
+            self.charge_buffer_address();
+            let r = &mut self.rt.direct_bytes_mut(rstaging.store())?[..n];
+            self.mpi
+                .scatterv(None, sendcounts, displs, r, recvcount, &dt, root, comm)?;
         }
-        self.unstage_region(rstaging, recv, &temp)
+        self.unstage_region(rstaging, recv, n)
     }
 
     // ------------------------------------------------------------------
@@ -618,11 +591,10 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
-        self.mpi.allgather(&sendbytes, &mut temp, count, dt, comm)?;
-        self.deposit(recv, &temp)
+        self.charge_buffer_address();
+        let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(send, recv)?;
+        self.mpi.allgather(sendbytes, recvbytes, count, dt, comm)?;
+        Ok(())
     }
 
     /// Array flavour of allgather.
@@ -636,14 +608,17 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
+        let n = elems * T::SIZE;
         let p = self.mpi.size(comm)?;
-        let (staging, sendbytes) = self.stage_region(send, elems)?;
-        let rstaging = self.stage_empty(recv, elems * p)?;
-        self.charge_addr();
-        let mut temp = vec![0u8; elems * p * T::SIZE];
+        let staging = self.stage_region(send, elems)?;
+        let rstaging = self.stage_empty(n * p);
+        self.charge_buffer_address();
+        let (s, r) = self
+            .rt
+            .direct_bytes_pair(staging.store(), rstaging.store())?;
         self.mpi
-            .allgather(&sendbytes, &mut temp, count, &dt, comm)?;
-        self.unstage_region(rstaging, recv, &temp)?;
+            .allgather(&s[..n], &mut r[..n * p], count, &dt, comm)?;
+        self.unstage_region(rstaging, recv, n * p)?;
         self.release_staging(staging);
         Ok(())
     }
@@ -661,13 +636,12 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
+        self.charge_buffer_address();
+        let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(send, recv)?;
         self.mpi.allgatherv(
-            &sendbytes, sendcount, &mut temp, recvcounts, displs, dt, comm,
+            sendbytes, sendcount, recvbytes, recvcounts, displs, dt, comm,
         )?;
-        self.deposit(recv, &temp)
+        Ok(())
     }
 
     /// Array flavour of allgatherv.
@@ -683,14 +657,22 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let (staging, sendbytes) = self.stage_region(send, send.len())?;
-        let rstaging = self.stage_empty(recv, recv.len())?;
-        self.charge_addr();
-        let mut temp = self.array_snapshot(recv)?;
+        let staging = self.stage_region(send, send.len())?;
+        let rstaging = self.stage_seeded(recv)?;
+        self.charge_buffer_address();
+        let (s, r) = self
+            .rt
+            .direct_bytes_pair(staging.store(), rstaging.store())?;
         self.mpi.allgatherv(
-            &sendbytes, sendcount, &mut temp, recvcounts, displs, &dt, comm,
+            &s[..send.byte_len()],
+            sendcount,
+            &mut r[..recv.byte_len()],
+            recvcounts,
+            displs,
+            &dt,
+            comm,
         )?;
-        self.unstage_region(rstaging, recv, &temp)?;
+        self.unstage_region(rstaging, recv, recv.byte_len())?;
         self.release_staging(staging);
         Ok(())
     }
@@ -705,11 +687,10 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
-        self.mpi.alltoall(&sendbytes, &mut temp, count, dt, comm)?;
-        self.deposit(recv, &temp)
+        self.charge_buffer_address();
+        let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(send, recv)?;
+        self.mpi.alltoall(sendbytes, recvbytes, count, dt, comm)?;
+        Ok(())
     }
 
     /// Array flavour of alltoall.
@@ -724,12 +705,15 @@ impl Env {
         let dt = datatype_of::<T>();
         let elems = count.max(0) as usize;
         let p = self.mpi.size(comm)?;
-        let (staging, sendbytes) = self.stage_region(send, elems * p)?;
-        let rstaging = self.stage_empty(recv, elems * p)?;
-        self.charge_addr();
-        let mut temp = vec![0u8; elems * p * T::SIZE];
-        self.mpi.alltoall(&sendbytes, &mut temp, count, &dt, comm)?;
-        self.unstage_region(rstaging, recv, &temp)?;
+        let n = elems * p * T::SIZE;
+        let staging = self.stage_region(send, elems * p)?;
+        let rstaging = self.stage_empty(n);
+        self.charge_buffer_address();
+        let (s, r) = self
+            .rt
+            .direct_bytes_pair(staging.store(), rstaging.store())?;
+        self.mpi.alltoall(&s[..n], &mut r[..n], count, &dt, comm)?;
+        self.unstage_region(rstaging, recv, n)?;
         self.release_staging(staging);
         Ok(())
     }
@@ -748,13 +732,12 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<()> {
         self.binding_call();
-        self.charge_addr();
-        let sendbytes = self.snapshot(send)?;
-        let mut temp = self.snapshot(recv)?;
+        self.charge_buffer_address();
+        let (sendbytes, recvbytes) = self.rt.direct_bytes_pair(send, recv)?;
         self.mpi.alltoallv(
-            &sendbytes, sendcounts, sdispls, &mut temp, recvcounts, rdispls, dt, comm,
+            sendbytes, sendcounts, sdispls, recvbytes, recvcounts, rdispls, dt, comm,
         )?;
-        self.deposit(recv, &temp)
+        Ok(())
     }
 
     /// Array flavour of alltoallv.
@@ -771,14 +754,23 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let (staging, sendbytes) = self.stage_region(send, send.len())?;
-        let rstaging = self.stage_empty(recv, recv.len())?;
-        self.charge_addr();
-        let mut temp = self.array_snapshot(recv)?;
+        let staging = self.stage_region(send, send.len())?;
+        let rstaging = self.stage_seeded(recv)?;
+        self.charge_buffer_address();
+        let (s, r) = self
+            .rt
+            .direct_bytes_pair(staging.store(), rstaging.store())?;
         self.mpi.alltoallv(
-            &sendbytes, sendcounts, sdispls, &mut temp, recvcounts, rdispls, &dt, comm,
+            &s[..send.byte_len()],
+            sendcounts,
+            sdispls,
+            &mut r[..recv.byte_len()],
+            recvcounts,
+            rdispls,
+            &dt,
+            comm,
         )?;
-        self.unstage_region(rstaging, recv, &temp)?;
+        self.unstage_region(rstaging, recv, recv.byte_len())?;
         self.release_staging(staging);
         Ok(())
     }

@@ -18,6 +18,7 @@
 
 use mpisim::datatype::Datatype;
 use mpisim::{CommHandle, ReduceOp};
+use mpjbuf::Buffer;
 use mrt::prim::Prim;
 use mrt::{DirectBuffer, JArray};
 
@@ -26,27 +27,21 @@ use crate::env::Env;
 use crate::error::{BindError, BindResult};
 use crate::request::{ArrayDest, JRequest, PostAction};
 
+/// Completion action for a receive array: unstage from `staging`.
+fn recv_array_post<T: Prim>(staging: Buffer, arr: JArray<T>, elems: usize) -> PostAction {
+    PostAction::RecvArray {
+        staging,
+        dest: ArrayDest {
+            handle: arr.handle(),
+            byte_off: 0,
+            byte_len: arr.byte_len(),
+        },
+        dt: datatype_of::<T>(),
+        count: elems,
+    }
+}
+
 impl Env {
-    /// Capacity check for a completion buffer that will hold `elems`
-    /// elements of `dt`.
-    fn check_capacity(&self, buf: DirectBuffer, elems: usize, dt: &Datatype) -> BindResult<usize> {
-        let span = dt.span(elems);
-        if span > buf.capacity() {
-            return Err(BindError::Runtime(mrt::MrtError::BufferOverflow {
-                needed: span,
-                available: buf.capacity(),
-            }));
-        }
-        Ok(span)
-    }
-
-    fn check_nb_count(count: i32) -> BindResult<usize> {
-        if count < 0 {
-            return Err(BindError::Mpi(mpisim::MpiError::InvalidCount { count }));
-        }
-        Ok(count as usize)
-    }
-
     /// The documented restriction, extended to collectives: Open MPI-J
     /// cannot pair Java arrays with non-blocking operations.
     fn check_array_nb(&self) -> BindResult<()> {
@@ -89,11 +84,10 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<JRequest> {
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
-        let span = self.check_capacity(buf, elems, dt)?;
+        let span = Self::check_dt_capacity(buf, count, dt, 1)?;
         self.charge_buffer_address();
-        let bytes = self.rt.direct_bytes(buf)?[..span].to_vec();
-        let native = self.mpi.ibcast(&bytes, count, dt, root, comm)?;
+        let bytes = self.rt.direct_bytes(buf)?;
+        let native = self.mpi.ibcast(&bytes[..span], count, dt, root, comm)?;
         Ok(JRequest {
             native,
             post: PostAction::RecvBuffer { buf, span },
@@ -112,12 +106,11 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<JRequest> {
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
-        let span = self.check_capacity(recv, elems, dt)?;
-        self.check_capacity(send, elems, dt)?;
+        let span = Self::check_dt_capacity(recv, count, dt, 1)?;
+        let sent = Self::check_dt_capacity(send, count, dt, 1)?;
         self.charge_buffer_address();
-        let bytes = self.rt.direct_bytes(send)?[..dt.span(elems)].to_vec();
-        let native = self.mpi.iallreduce(&bytes, count, dt, op, comm)?;
+        let bytes = self.rt.direct_bytes(send)?;
+        let native = self.mpi.iallreduce(&bytes[..sent], count, dt, op, comm)?;
         Ok(JRequest {
             native,
             post: PostAction::RecvBuffer { buf: recv, span },
@@ -136,13 +129,12 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<JRequest> {
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
         let p = self.mpi.size(comm)?;
-        let span = self.check_capacity(recv, elems * p, dt)?;
-        self.check_capacity(send, elems, dt)?;
+        let span = Self::check_dt_capacity(recv, count, dt, p)?;
+        let sent = Self::check_dt_capacity(send, count, dt, 1)?;
         self.charge_buffer_address();
-        let bytes = self.rt.direct_bytes(send)?[..dt.span(elems)].to_vec();
-        let native = self.mpi.iallgather(&bytes, count, dt, comm)?;
+        let bytes = self.rt.direct_bytes(send)?;
+        let native = self.mpi.iallgather(&bytes[..sent], count, dt, comm)?;
         Ok(JRequest {
             native,
             post: PostAction::RecvBuffer { buf: recv, span },
@@ -163,23 +155,22 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<JRequest> {
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
-        self.check_capacity(send, elems, dt)?;
+        let sent = Self::check_dt_capacity(send, count, dt, 1)?;
         let me = self.mpi.rank(comm)?;
         let post = if me == root {
             let p = self.mpi.size(comm)?;
             let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
-                needed: dt.span(elems * p),
+                needed: dt.span(count as usize * p),
                 available: 0,
             }))?;
-            let span = self.check_capacity(out, elems * p, dt)?;
+            let span = Self::check_dt_capacity(out, count, dt, p)?;
             PostAction::RecvBuffer { buf: out, span }
         } else {
             PostAction::SendDone
         };
         self.charge_buffer_address();
-        let bytes = self.rt.direct_bytes(send)?[..dt.span(elems)].to_vec();
-        let native = self.mpi.igather(&bytes, count, dt, root, comm)?;
+        let bytes = self.rt.direct_bytes(send)?;
+        let native = self.mpi.igather(&bytes[..sent], count, dt, root, comm)?;
         Ok(JRequest {
             native,
             post,
@@ -198,13 +189,12 @@ impl Env {
         comm: CommHandle,
     ) -> BindResult<JRequest> {
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
         let p = self.mpi.size(comm)?;
-        let span = self.check_capacity(recv, elems * p, dt)?;
-        self.check_capacity(send, elems * p, dt)?;
+        let span = Self::check_dt_capacity(recv, count, dt, p)?;
+        let sent = Self::check_dt_capacity(send, count, dt, p)?;
         self.charge_buffer_address();
-        let bytes = self.rt.direct_bytes(send)?[..dt.span(elems * p)].to_vec();
-        let native = self.mpi.ialltoall(&bytes, count, dt, comm)?;
+        let bytes = self.rt.direct_bytes(send)?;
+        let native = self.mpi.ialltoall(&bytes[..sent], count, dt, comm)?;
         Ok(JRequest {
             native,
             post: PostAction::RecvBuffer { buf: recv, span },
@@ -216,21 +206,6 @@ impl Env {
     // Java-array flavour (staging pinned for the schedule lifetime)
     // ------------------------------------------------------------------
 
-    /// Build the unstage destination for a receive array.
-    fn recv_array_post<T: Prim>(&mut self, arr: JArray<T>, elems: usize) -> BindResult<PostAction> {
-        let staging = self.stage_empty(arr, elems)?;
-        Ok(PostAction::RecvArray {
-            staging,
-            dest: ArrayDest {
-                handle: arr.handle(),
-                byte_off: 0,
-                byte_len: arr.byte_len(),
-            },
-            dt: datatype_of::<T>(),
-            count: elems,
-        })
-    }
-
     /// `comm.iBcast(type[] arr, count, datatype, root)`.
     pub fn ibcast_array<T: Prim>(
         &mut self,
@@ -241,35 +216,22 @@ impl Env {
     ) -> BindResult<JRequest> {
         self.check_array_nb()?;
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
+        let elems = Self::check_count(count)?;
         let dt = datatype_of::<T>();
         let me = self.mpi.rank(comm)?;
         // The root stages its payload in; every rank (root included)
         // receives the delivered payload back through a pinned staging
         // buffer at completion.
-        let (post, bytes) = if me == root {
-            let (staging, bytes) = self.stage_region(arr, elems)?;
-            (
-                PostAction::RecvArray {
-                    staging,
-                    dest: ArrayDest {
-                        handle: arr.handle(),
-                        byte_off: 0,
-                        byte_len: arr.byte_len(),
-                    },
-                    dt: dt.clone(),
-                    count: elems,
-                },
-                bytes,
-            )
+        let staging = if me == root {
+            self.stage_region(arr, elems)?
         } else {
-            (
-                self.recv_array_post(arr, elems)?,
-                vec![0u8; elems * T::SIZE],
-            )
+            self.stage_empty(elems * T::SIZE)
         };
+        let store = staging.store();
+        let post = recv_array_post(staging, arr, elems);
         self.charge_buffer_address();
-        let native = self.mpi.ibcast(&bytes, count, &dt, root, comm)?;
+        let bytes = &self.rt.direct_bytes(store)?[..elems * T::SIZE];
+        let native = self.mpi.ibcast(bytes, count, &dt, root, comm)?;
         Ok(JRequest {
             native,
             post,
@@ -288,12 +250,13 @@ impl Env {
     ) -> BindResult<JRequest> {
         self.check_array_nb()?;
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
+        let elems = Self::check_count(count)?;
         let dt = datatype_of::<T>();
-        let (staging, bytes) = self.stage_region(send, elems)?;
-        let post = self.recv_array_post(recv, elems)?;
+        let staging = self.stage_region(send, elems)?;
+        let post = recv_array_post(self.stage_empty(elems * T::SIZE), recv, elems);
         self.charge_buffer_address();
-        let native = self.mpi.iallreduce(&bytes, count, &dt, op, comm)?;
+        let bytes = &self.rt.direct_bytes(staging.store())?[..elems * T::SIZE];
+        let native = self.mpi.iallreduce(bytes, count, &dt, op, comm)?;
         Ok(JRequest {
             native,
             post,
@@ -312,13 +275,14 @@ impl Env {
     ) -> BindResult<JRequest> {
         self.check_array_nb()?;
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
+        let elems = Self::check_count(count)?;
         let p = self.mpi.size(comm)?;
         let dt = datatype_of::<T>();
-        let (staging, bytes) = self.stage_region(send, elems)?;
-        let post = self.recv_array_post(recv, elems * p)?;
+        let staging = self.stage_region(send, elems)?;
+        let post = recv_array_post(self.stage_empty(elems * p * T::SIZE), recv, elems * p);
         self.charge_buffer_address();
-        let native = self.mpi.iallgather(&bytes, count, &dt, comm)?;
+        let bytes = &self.rt.direct_bytes(staging.store())?[..elems * T::SIZE];
+        let native = self.mpi.iallgather(bytes, count, &dt, comm)?;
         Ok(JRequest {
             native,
             post,
@@ -338,26 +302,27 @@ impl Env {
     ) -> BindResult<JRequest> {
         self.check_array_nb()?;
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
+        let elems = Self::check_count(count)?;
         let dt = datatype_of::<T>();
         let me = self.mpi.rank(comm)?;
-        let (staging, bytes) = self.stage_region(send, elems)?;
-        let (post, pinned) = if me == root {
+        let staging = self.stage_region(send, elems)?;
+        let post = if me == root {
             let p = self.mpi.size(comm)?;
             let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
                 needed: dt.span(elems * p),
                 available: 0,
             }))?;
-            (self.recv_array_post(out, elems * p)?, Some(staging))
+            recv_array_post(self.stage_empty(elems * p * T::SIZE), out, elems * p)
         } else {
-            (PostAction::SendStaged { staging }, None)
+            PostAction::SendDone
         };
         self.charge_buffer_address();
-        let native = self.mpi.igather(&bytes, count, &dt, root, comm)?;
+        let bytes = &self.rt.direct_bytes(staging.store())?[..elems * T::SIZE];
+        let native = self.mpi.igather(bytes, count, &dt, root, comm)?;
         Ok(JRequest {
             native,
             post,
-            pinned,
+            pinned: Some(staging),
         })
     }
 
@@ -372,13 +337,14 @@ impl Env {
     ) -> BindResult<JRequest> {
         self.check_array_nb()?;
         self.binding_call();
-        let elems = Self::check_nb_count(count)?;
+        let elems = Self::check_count(count)?;
         let p = self.mpi.size(comm)?;
         let dt = datatype_of::<T>();
-        let (staging, bytes) = self.stage_region(send, elems * p)?;
-        let post = self.recv_array_post(recv, elems * p)?;
+        let staging = self.stage_region(send, elems * p)?;
+        let post = recv_array_post(self.stage_empty(elems * p * T::SIZE), recv, elems * p);
         self.charge_buffer_address();
-        let native = self.mpi.ialltoall(&bytes, count, &dt, comm)?;
+        let bytes = &self.rt.direct_bytes(staging.store())?[..elems * p * T::SIZE];
+        let native = self.mpi.ialltoall(bytes, count, &dt, comm)?;
         Ok(JRequest {
             native,
             post,

@@ -66,5 +66,5 @@ pub use rma::JWin;
 
 // Re-exports so applications need only this crate.
 pub use mpisim::{CommHandle, Group, MpiError, Profile, ReduceOp};
-pub use mrt::{ByteOrder, DirectBuffer, JArray};
+pub use mrt::{ByteOrder, DirectBuffer, JArray, MrtError};
 pub use simfabric::{EngineMode, Topology};

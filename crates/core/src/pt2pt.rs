@@ -20,7 +20,7 @@ use vtime::VDur;
 use crate::datatype::{check_base, datatype_of};
 use crate::env::Env;
 use crate::error::{BindError, BindResult};
-use crate::request::{ArrayDest, JRequest, JStatus, PostAction, TestOutcome};
+use crate::request::{ArrayDest, Dests, JRequest, JStatus, PostAction, TestOutcome};
 use crate::stage::{stage_from_array, unstage_to_array};
 
 impl Env {
@@ -34,15 +34,21 @@ impl Env {
         obs::span("direct_address", "nif", t0, self.mpi.now(), Vec::new());
     }
 
+    /// Validate an element count (MPI_ERR_COUNT when negative).
+    pub(crate) fn check_count(count: i32) -> BindResult<usize> {
+        usize::try_from(count).map_err(|_| BindError::Mpi(mpisim::MpiError::InvalidCount { count }))
+    }
+
+    /// Validate `count` and check that `buf` holds `blocks × count`
+    /// elements of `dt` (one block per peer for gather-type results).
+    /// Returns that span in bytes.
     pub(crate) fn check_dt_capacity(
         buf: DirectBuffer,
         count: i32,
         dt: &Datatype,
+        blocks: usize,
     ) -> BindResult<usize> {
-        if count < 0 {
-            return Err(BindError::Mpi(mpisim::MpiError::InvalidCount { count }));
-        }
-        let span = dt.span(count as usize);
+        let span = dt.span(Self::check_count(count)? * blocks);
         if span > buf.capacity() {
             return Err(BindError::Runtime(mrt::MrtError::BufferOverflow {
                 needed: span,
@@ -65,7 +71,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> BindResult<JRequest> {
-        let span = Self::check_dt_capacity(buf, count, dt)?;
+        let span = Self::check_dt_capacity(buf, count, dt, 1)?;
         self.charge_buffer_address();
         // The native call reads straight out of the buffer's storage.
         let bytes = self.rt.direct_bytes(buf)?;
@@ -86,7 +92,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> BindResult<JRequest> {
-        let span = Self::check_dt_capacity(buf, count, dt)?;
+        let span = Self::check_dt_capacity(buf, count, dt, 1)?;
         self.charge_buffer_address();
         let native = self.mpi.irecv(count, dt, src, tag, comm)?;
         Ok(JRequest {
@@ -158,6 +164,7 @@ impl Env {
     // Java-array path (through the buffering layer)
     // ------------------------------------------------------------------
 
+    #[allow(clippy::too_many_arguments)]
     fn isend_array_raw<T: Prim>(
         &mut self,
         arr: JArray<T>,
@@ -168,20 +175,17 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> BindResult<JRequest> {
-        if count < 0 {
-            return Err(BindError::Mpi(mpisim::MpiError::InvalidCount { count }));
-        }
+        let count = Self::check_count(count)?;
         if !check_base::<T>(dt) {
             return Err(BindError::DatatypeMismatch {
                 expected: T::TYPE.name(),
                 datatype: dt.name(),
             });
         }
-        let count = count as usize;
         let packed = dt.size() * count;
         // Buffering layer: pooled direct buffer + gather copy.
+        let staging = self.stage_empty(packed);
         let clock = self.mpi.clock_mut();
-        let staging = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, packed.max(1));
         stage_from_array(
             &mut self.rt,
             clock,
@@ -201,11 +205,12 @@ impl Env {
             .isend(&bytes[..packed], elems, &base_dt, dst, tag, comm)?;
         Ok(JRequest {
             native,
-            post: PostAction::SendStaged { staging },
-            pinned: None,
+            post: PostAction::SendDone,
+            pinned: Some(staging),
         })
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn irecv_array_raw<T: Prim>(
         &mut self,
         arr: JArray<T>,
@@ -216,19 +221,15 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> BindResult<JRequest> {
-        if count < 0 {
-            return Err(BindError::Mpi(mpisim::MpiError::InvalidCount { count }));
-        }
+        let count = Self::check_count(count)?;
         if !check_base::<T>(dt) {
             return Err(BindError::DatatypeMismatch {
                 expected: T::TYPE.name(),
                 datatype: dt.name(),
             });
         }
-        let count = count as usize;
         let packed = dt.size() * count;
-        let clock = self.mpi.clock_mut();
-        let staging = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, packed.max(1));
+        let staging = self.stage_empty(packed);
         self.charge_buffer_address();
         let base_dt = datatype_of::<T>();
         let elems = (packed / T::SIZE) as i32;
@@ -384,66 +385,56 @@ impl Env {
     // Completion
     // ------------------------------------------------------------------
 
-    /// Temp buffer (user layout) the native wait/test deposits into, for
-    /// post-actions that need one. RecvBuffer temps are seeded with the
-    /// buffer's current content so derived-datatype gaps survive.
-    fn prepare_temp(&mut self, post: &PostAction) -> BindResult<Option<Vec<u8>>> {
-        match post {
-            PostAction::SendDone | PostAction::SendStaged { .. } => Ok(None),
-            PostAction::RecvBuffer { buf, span } => {
-                let mut temp = vec![0u8; *span];
-                temp.copy_from_slice(&self.rt.direct_bytes(*buf)?[..*span]);
-                Ok(Some(temp))
-            }
-            PostAction::RecvArray { dt, count, .. } => Ok(Some(vec![0u8; dt.size() * count])),
-        }
+    /// Return a staging buffer to the pool.
+    pub(crate) fn release_staging(&mut self, staging: Buffer) {
+        let clock = self.mpi.clock_mut();
+        staging.free(&mut self.pool, &mut self.rt, clock);
     }
 
-    /// Run the Java-side completion actions once the native request is
-    /// done.
-    fn finish_post(
+    /// Make a native completion call with `post`'s destination lent in
+    /// place: the native library deposits straight into the direct buffer
+    /// or the array's staging (conceptually DMA — uncharged).
+    fn with_dest<R>(
+        &mut self,
+        post: &PostAction,
+        call: impl FnOnce(&mut mpisim::Mpi, Option<&mut [u8]>) -> mpisim::MpiResult<R>,
+    ) -> BindResult<R> {
+        let dest = post.dest(&mut self.rt)?;
+        Ok(call(&mut self.mpi, dest)?)
+    }
+
+    /// Run the Java-side completion actions of a finished request. Every
+    /// exit, failed ones included, returns the request's staging to the
+    /// pool.
+    fn complete(
         &mut self,
         post: PostAction,
-        st: mpisim::Status,
-        temp: Option<Vec<u8>>,
+        pinned: Option<Buffer>,
+        st: BindResult<mpisim::Status>,
     ) -> BindResult<JStatus> {
-        match post {
-            PostAction::SendDone => {}
-            PostAction::SendStaged { staging } => {
-                let clock = self.mpi.clock_mut();
-                staging.free(&mut self.pool, &mut self.rt, clock);
-            }
-            PostAction::RecvBuffer { buf, span } => {
-                // The native library deposited straight into the direct
-                // buffer (conceptually DMA — uncharged).
-                let temp = temp.expect("recv temp prepared");
-                self.rt.direct_bytes_mut(buf)?[..span].copy_from_slice(&temp);
-            }
-            PostAction::RecvArray {
-                staging,
-                dest,
-                dt,
-                count,
-            } => {
-                let temp = temp.expect("recv temp prepared");
-                // Native deposited into the staging buffer (DMA).
-                self.rt.direct_bytes_mut(staging.store())?[..st.bytes]
-                    .copy_from_slice(&temp[..st.bytes]);
-                // Buffering layer scatters into the managed array.
-                let clock = self.mpi.clock_mut();
-                unstage_to_array(
-                    &mut self.rt,
-                    clock,
-                    staging.store(),
-                    &dest,
-                    count,
-                    &dt,
-                    st.bytes,
-                )?;
-                let clock = self.mpi.clock_mut();
-                staging.free(&mut self.pool, &mut self.rt, clock);
-            }
+        if let Some(staging) = pinned {
+            self.release_staging(staging);
         }
+        if let PostAction::RecvArray {
+            staging,
+            dest,
+            dt,
+            count,
+        } = post
+        {
+            // Buffering layer scatters the deposit into the managed array.
+            let unstaged = match &st {
+                Ok(st) => {
+                    let clock = self.mpi.clock_mut();
+                    let store = staging.store();
+                    unstage_to_array(&mut self.rt, clock, store, &dest, count, &dt, st.bytes)
+                }
+                Err(_) => Ok(()),
+            };
+            self.release_staging(staging);
+            unstaged?;
+        }
+        let st = st?;
         Ok(JStatus {
             source: st.source as i32,
             tag: st.tag,
@@ -451,20 +442,9 @@ impl Env {
         })
     }
 
-    /// Release a request's pinned send-side staging (collective sends
-    /// hold theirs until completion).
-    fn release_pinned(&mut self, pinned: Option<mpjbuf::Buffer>) {
-        if let Some(staging) = pinned {
-            let clock = self.mpi.clock_mut();
-            staging.free(&mut self.pool, &mut self.rt, clock);
-        }
-    }
-
     pub(crate) fn wait_raw(&mut self, req: JRequest) -> BindResult<JStatus> {
-        let mut temp = self.prepare_temp(&req.post)?;
-        let st = self.mpi.wait(req.native, temp.as_deref_mut())?;
-        self.release_pinned(req.pinned);
-        self.finish_post(req.post, st, temp)
+        let st = self.with_dest(&req.post, |mpi, dest| mpi.wait(req.native, dest));
+        self.complete(req.post, req.pinned, st)
     }
 
     /// `request.waitFor()`.
@@ -477,7 +457,11 @@ impl Env {
     /// progression is joint — the whole batch is handed to the native
     /// library's `Waitall`, so an early-completing later request (or a
     /// non-blocking collective mixed in with point-to-point requests)
-    /// never waits on an earlier slow one.
+    /// never waits on an earlier slow one. Each receive's destination is
+    /// lent only while the native library consumes that request, so a
+    /// window of receives may share one buffer. On failure every
+    /// request's staging still returns to the pool and the first error
+    /// is reported.
     pub fn waitall(&mut self, reqs: Vec<JRequest>) -> BindResult<Vec<JStatus>> {
         self.binding_call();
         let mut natives = Vec::with_capacity(reqs.len());
@@ -488,51 +472,59 @@ impl Env {
             posts.push(r.post);
             pins.push(r.pinned);
         }
-        let mut temps = Vec::with_capacity(posts.len());
-        for post in &posts {
-            temps.push(self.prepare_temp(post)?);
-        }
-        let bufs: Vec<Option<&mut [u8]>> = temps.iter_mut().map(|t| t.as_deref_mut()).collect();
-        let statuses = self.mpi.waitall(natives, bufs)?;
+        // A freed destination fails here, before the native call.
+        let live = posts
+            .iter()
+            .try_for_each(|p| p.dest(&mut self.rt).map(drop));
+        let statuses: Vec<BindResult<mpisim::Status>> = match live {
+            Ok(()) => match self.mpi.waitall(natives, Dests(&mut self.rt, &posts)) {
+                Ok(sts) => sts.into_iter().map(Ok).collect(),
+                Err(e) => vec![Err(e.into()); posts.len()],
+            },
+            Err(e) => vec![Err(e.into()); posts.len()],
+        };
         let mut out = Vec::with_capacity(posts.len());
-        for ((post, pinned), (st, temp)) in posts
-            .into_iter()
-            .zip(pins)
-            .zip(statuses.into_iter().zip(temps))
-        {
-            self.release_pinned(pinned);
-            out.push(self.finish_post(post, st, temp)?);
+        let mut failed = None;
+        for ((post, pinned), st) in posts.into_iter().zip(pins).zip(statuses) {
+            match self.complete(post, pinned, st) {
+                Ok(st) => out.push(st),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
         }
-        Ok(out)
+        failed.map_or(Ok(out), Err)
     }
 
     /// `request.test()`: non-blocking completion check; hands the request
     /// back when still pending.
     pub fn test(&mut self, req: JRequest) -> BindResult<TestOutcome> {
         self.binding_call();
-        let mut temp = self.prepare_temp(&req.post)?;
-        match self.mpi.test(&req.native, temp.as_deref_mut())? {
+        let polled = self.with_dest(&req.post, |mpi, dest| mpi.test(&req.native, dest));
+        match polled.transpose() {
             None => Ok(TestOutcome::Pending(req)),
-            Some(st) => {
-                self.release_pinned(req.pinned);
-                self.finish_post(req.post, st, temp).map(TestOutcome::Done)
-            }
+            Some(st) => self
+                .complete(req.post, req.pinned, st)
+                .map(TestOutcome::Done),
         }
     }
 
     /// `Request.testAny(...)`: poll the batch once; on a hit the
     /// completed request is removed from `reqs` and its original index
     /// and status are returned. Each poll also progresses every
-    /// outstanding non-blocking collective.
+    /// outstanding non-blocking collective. A failed poll returns the
+    /// error and leaves `reqs` untouched: every request, its staging
+    /// included, stays with the caller.
     pub fn testany(&mut self, reqs: &mut Vec<JRequest>) -> BindResult<Option<(usize, JStatus)>> {
         self.binding_call();
         for i in 0..reqs.len() {
-            let mut temp = self.prepare_temp(&reqs[i].post)?;
-            if let Some(st) = self.mpi.test(&reqs[i].native, temp.as_deref_mut())? {
+            let req = &reqs[i];
+            let polled = self.with_dest(&req.post, |mpi, dest| mpi.test(&req.native, dest))?;
+            if let Some(st) = polled {
                 let req = reqs.remove(i);
-                self.release_pinned(req.pinned);
-                let status = self.finish_post(req.post, st, temp)?;
-                return Ok(Some((i, status)));
+                return self
+                    .complete(req.post, req.pinned, Ok(st))
+                    .map(|st| Some((i, st)));
             }
         }
         Ok(None)

@@ -1,8 +1,9 @@
 //! Request and status objects returned by the non-blocking bindings API.
 
 use mpisim::datatype::Datatype;
+use mpisim::RecvLender;
 use mpjbuf::Buffer;
-use mrt::Handle;
+use mrt::{Handle, MrtResult, Runtime};
 
 /// Completion status (the bindings' `Status` object).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,14 +40,12 @@ pub(crate) struct ArrayDest {
 
 /// What must happen when a request completes.
 pub(crate) enum PostAction {
-    /// Plain send (direct-buffer source): nothing to do.
+    /// No data arrives: nothing to do beyond releasing pinned staging.
     SendDone,
-    /// Array send: the staging buffer goes back to the pool.
-    SendStaged { staging: Buffer },
-    /// Receive into a direct buffer: deposit the payload.
+    /// Receive into a direct buffer: the payload lands in place.
     RecvBuffer {
         buf: mrt::DirectBuffer,
-        /// User-layout span of the posted receive (temp sizing).
+        /// User-layout span of the posted receive.
         span: usize,
     },
     /// Receive into a managed array: deposit into the staging buffer,
@@ -59,15 +58,41 @@ pub(crate) enum PostAction {
     },
 }
 
+impl PostAction {
+    /// The storage the native library deposits this request's payload
+    /// into, borrowed from `rt` in place: the user's direct buffer, or the
+    /// array's packed staging. `None` when no data arrives.
+    pub(crate) fn dest<'a>(&self, rt: &'a mut Runtime) -> MrtResult<Option<&'a mut [u8]>> {
+        Ok(match self {
+            PostAction::SendDone => None,
+            PostAction::RecvBuffer { buf, span } => Some(&mut rt.direct_bytes_mut(*buf)?[..*span]),
+            PostAction::RecvArray {
+                staging, dt, count, ..
+            } => Some(&mut rt.direct_bytes_mut(staging.store())?[..dt.size() * count]),
+        })
+    }
+}
+
+/// Lends `Mpi::waitall` each request's destination in place, one request
+/// at a time (destinations may repeat across a batch).
+pub(crate) struct Dests<'a>(pub &'a mut Runtime, pub &'a [PostAction]);
+
+impl RecvLender for Dests<'_> {
+    fn lend(&mut self, i: usize) -> Option<&mut [u8]> {
+        // Every destination was checked live before the native call.
+        self.1[i].dest(self.0).ok().flatten()
+    }
+}
+
 /// A non-blocking operation in flight (the bindings' `Request` object).
 pub struct JRequest {
     pub(crate) native: mpisim::mpi::MpiRequest,
     pub(crate) post: PostAction,
     /// Send-side staging buffer pinned for the operation's lifetime.
-    /// Non-blocking collectives read their source region while the
-    /// schedule progresses, so the request owns the buffer until
-    /// completion — the collector can run mid-flight without the pool
-    /// reusing (or freeing) storage the native library still reads.
+    /// Array sends and non-blocking collectives read their source region
+    /// while the operation progresses, so the request owns the buffer
+    /// until completion — the collector can run mid-flight without the
+    /// pool reusing (or freeing) storage the native library still reads.
     pub(crate) pinned: Option<Buffer>,
 }
 
@@ -82,6 +107,9 @@ impl JRequest {
 }
 
 /// Result of a non-blocking `test`.
+// `Pending` hands the request back by value so callers can resubmit it;
+// boxing it to even out the variant sizes would change that API.
+#[allow(clippy::large_enum_variant)]
 pub enum TestOutcome {
     /// Completed with this status.
     Done(JStatus),

@@ -92,6 +92,16 @@ pub(crate) struct WinState {
     gets: Vec<(mpisim::RmaGet, GetDest)>,
 }
 
+/// The live state behind `win`, borrowed from the window table alone so
+/// the runtime and the native library stay free to borrow beside it.
+fn win_slot(wins: &mut [Option<WinState>], win: JWin) -> BindResult<&mut WinState> {
+    wins.get_mut(win.0)
+        .and_then(|w| w.as_mut())
+        .ok_or(BindError::Mpi(mpisim::MpiError::InvalidWin(
+            "invalid or freed window handle",
+        )))
+}
+
 impl Env {
     fn win_state(&self, win: JWin) -> BindResult<&WinState> {
         self.wins
@@ -103,12 +113,7 @@ impl Env {
     }
 
     fn win_state_mut(&mut self, win: JWin) -> BindResult<&mut WinState> {
-        self.wins
-            .get_mut(win.0)
-            .and_then(|w| w.as_mut())
-            .ok_or(BindError::Mpi(mpisim::MpiError::InvalidWin(
-                "invalid or freed window handle",
-            )))
+        win_slot(&mut self.wins, win)
     }
 
     fn storage_info(&self, win: JWin) -> BindResult<StorageInfo> {
@@ -159,14 +164,12 @@ impl Env {
         let byte_len = arr.byte_len();
         // The staging buffer stays pinned (out of the pool) for the
         // window's lifetime, like an NBC schedule's staging.
-        let clock = self.mpi.clock_mut();
-        let staging = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, byte_len.max(1));
+        let staging = self.stage_empty(byte_len);
         self.charge_buffer_address();
         let native = match self.mpi.win_create(byte_len, comm) {
             Ok(w) => w,
             Err(e) => {
-                let clock = self.mpi.clock_mut();
-                staging.free(&mut self.pool, &mut self.rt, clock);
+                self.release_staging(staging);
                 return Err(e.into());
             }
         };
@@ -201,8 +204,7 @@ impl Env {
         self.mpi.win_free(native)?;
         let state = self.wins[win.0].take().expect("state checked above");
         if let WinStorage::Array { staging, .. } = state.storage {
-            let clock = self.mpi.clock_mut();
-            staging.free(&mut self.pool, &mut self.rt, clock);
+            self.release_staging(staging);
         }
         Ok(())
     }
@@ -235,7 +237,7 @@ impl Env {
                 "derived datatypes with one-sided operations on direct buffers",
             ));
         }
-        let span = Self::check_dt_capacity(origin, count, dt)?;
+        let span = Self::check_dt_capacity(origin, count, dt, 1)?;
         self.charge_buffer_address();
         let native = self.win_state(win)?.native;
         let bytes = self.rt.direct_bytes(origin)?;
@@ -262,14 +264,11 @@ impl Env {
         target_disp: usize,
     ) -> BindResult<()> {
         self.binding_call();
-        if count < 0 {
-            return Err(BindError::Mpi(mpisim::MpiError::InvalidCount { count }));
-        }
+        let count = Self::check_count(count)?;
         let dt = datatype_of::<T>();
-        let count = count as usize;
         let packed = dt.size() * count;
+        let staging = self.stage_empty(packed);
         let clock = self.mpi.clock_mut();
-        let staging = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, packed.max(1));
         let staged = stage_from_array(
             &mut self.rt,
             clock,
@@ -288,8 +287,7 @@ impl Env {
                 .win_put(native, &bytes[..packed], key, target, target_disp)
                 .map_err(BindError::from)
         });
-        let clock = self.mpi.clock_mut();
-        staging.free(&mut self.pool, &mut self.rt, clock);
+        self.release_staging(staging);
         res
     }
 
@@ -311,7 +309,7 @@ impl Env {
                 "derived datatypes with one-sided operations on direct buffers",
             ));
         }
-        let span = Self::check_dt_capacity(origin, count, dt)?;
+        let span = Self::check_dt_capacity(origin, count, dt, 1)?;
         self.charge_buffer_address();
         let native = self.win_state(win)?.native;
         let tok = self
@@ -336,11 +334,8 @@ impl Env {
         target_disp: usize,
     ) -> BindResult<()> {
         self.binding_call();
-        if count < 0 {
-            return Err(BindError::Mpi(mpisim::MpiError::InvalidCount { count }));
-        }
+        let count = Self::check_count(count)?;
         let dt = datatype_of::<T>();
-        let count = count as usize;
         let packed = dt.size() * count;
         if packed > arr.byte_len() {
             return Err(BindError::Runtime(mrt::MrtError::BufferOverflow {
@@ -348,16 +343,14 @@ impl Env {
                 available: arr.byte_len(),
             }));
         }
-        let clock = self.mpi.clock_mut();
-        let staging = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, packed.max(1));
+        let staging = self.stage_empty(packed);
         self.charge_buffer_address();
         let native = self.win_state(win)?.native;
         let key = u64::from(staging.store().id());
         let tok = match self.mpi.win_get(native, target, target_disp, packed, key) {
             Ok(t) => t,
             Err(e) => {
-                let clock = self.mpi.clock_mut();
-                staging.free(&mut self.pool, &mut self.rt, clock);
+                self.release_staging(staging);
                 return Err(e.into());
             }
         };
@@ -390,7 +383,7 @@ impl Env {
         target_disp: usize,
     ) -> BindResult<()> {
         self.binding_call();
-        let span = Self::check_dt_capacity(origin, count, &mpisim::datatype::INT)?;
+        let span = Self::check_dt_capacity(origin, count, &mpisim::datatype::INT, 1)?;
         self.charge_buffer_address();
         let native = self.win_state(win)?.native;
         let bytes = self.rt.direct_bytes(origin)?;
@@ -410,14 +403,11 @@ impl Env {
         target_disp: usize,
     ) -> BindResult<()> {
         self.binding_call();
-        if count < 0 {
-            return Err(BindError::Mpi(mpisim::MpiError::InvalidCount { count }));
-        }
+        let count = Self::check_count(count)?;
         let dt = mpisim::datatype::INT;
-        let count = count as usize;
         let packed = dt.size() * count;
+        let staging = self.stage_empty(packed);
         let clock = self.mpi.clock_mut();
-        let staging = Buffer::from_pool(&mut self.pool, &mut self.rt, clock, packed.max(1));
         let staged = stage_from_array(
             &mut self.rt,
             clock,
@@ -435,8 +425,7 @@ impl Env {
                 .win_accumulate(native, &bytes[..packed], op, target, target_disp)
                 .map_err(BindError::from)
         });
-        let clock = self.mpi.clock_mut();
-        staging.free(&mut self.pool, &mut self.rt, clock);
+        self.release_staging(staging);
         res
     }
 
@@ -448,9 +437,8 @@ impl Env {
     /// bytes changed since the last sync are written, so remote deposits
     /// that already landed are preserved.
     fn publish_local_writes(&mut self, win: JWin) -> BindResult<()> {
-        let info = self.storage_info(win)?;
-        let image: Vec<u8> = match info {
-            StorageInfo::Buffer(b) => self.rt.direct_bytes(b)?.to_vec(),
+        let store = match self.storage_info(win)? {
+            StorageInfo::Buffer(b) => b,
             StorageInfo::Array {
                 store,
                 handle,
@@ -462,20 +450,17 @@ impl Env {
                 // into its pinned staging.
                 let clock = self.mpi.clock_mut();
                 stage_from_array(&mut self.rt, clock, store, handle, 0, count, dt)?;
-                self.rt.direct_bytes(store)?.to_vec()
+                store
             }
         };
-        let native = self.win_state(win)?.native;
-        let last = std::mem::take(&mut self.win_state_mut(win)?.last_sync);
-        {
-            let mem = self.mpi.win_mem_mut(native)?;
-            for (i, (&new, &old)) in image.iter().zip(last.iter()).enumerate() {
-                if new != old {
-                    mem[i] = new;
-                }
+        let state = win_slot(&mut self.wins, win)?;
+        let mem = self.mpi.win_mem_mut(state.native)?;
+        let user = self.rt.direct_bytes(store)?;
+        for (i, (&new, &old)) in user.iter().zip(&state.last_sync).enumerate() {
+            if new != old {
+                mem[i] = new;
             }
         }
-        self.win_state_mut(win)?.last_sync = last;
         Ok(())
     }
 
@@ -511,8 +496,7 @@ impl Env {
                     self.rt.direct_bytes_mut(store)?[..n].copy_from_slice(&data);
                     let clock = self.mpi.clock_mut();
                     unstage_to_array(&mut self.rt, clock, store, &dest, count, &dt, n)?;
-                    let clock = self.mpi.clock_mut();
-                    staging.free(&mut self.pool, &mut self.rt, clock);
+                    self.release_staging(staging);
                 }
             }
         }
@@ -523,12 +507,13 @@ impl Env {
     /// sync shadow.
     fn refresh_user_storage(&mut self, win: JWin) -> BindResult<()> {
         let info = self.storage_info(win)?;
-        let native = self.win_state(win)?.native;
-        let snapshot = self.mpi.win_mem(native)?.to_vec();
+        let state = win_slot(&mut self.wins, win)?;
+        let mem = self.mpi.win_mem(state.native)?;
+        state.last_sync.copy_from_slice(mem);
         match info {
             StorageInfo::Buffer(b) => {
                 // The buffer *is* the exposed region: uncharged mirror.
-                self.rt.direct_bytes_mut(b)?[..snapshot.len()].copy_from_slice(&snapshot);
+                self.rt.direct_bytes_mut(b)?[..mem.len()].copy_from_slice(mem);
             }
             StorageInfo::Array {
                 store,
@@ -537,7 +522,7 @@ impl Env {
                 ref dt,
                 byte_len,
             } => {
-                self.rt.direct_bytes_mut(store)?[..byte_len].copy_from_slice(&snapshot[..byte_len]);
+                self.rt.direct_bytes_mut(store)?[..byte_len].copy_from_slice(&mem[..byte_len]);
                 let dest = ArrayDest {
                     handle,
                     byte_off: 0,
@@ -548,7 +533,6 @@ impl Env {
                 unstage_to_array(&mut self.rt, clock, store, &dest, count, dt, byte_len)?;
             }
         }
-        self.win_state_mut(win)?.last_sync = snapshot;
         Ok(())
     }
 

@@ -25,21 +25,6 @@ pub(crate) fn stage_from_array(
     count: usize,
     dt: &Datatype,
 ) -> MrtResult<usize> {
-    stage_from_array_at(rt, clock, store, 0, src, src_byte_off, count, dt)
-}
-
-/// Like [`stage_from_array`], but packing into `store` at `store_off`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stage_from_array_at(
-    rt: &mut Runtime,
-    clock: &mut Clock,
-    store: DirectBuffer,
-    store_off: usize,
-    src: Handle,
-    src_byte_off: usize,
-    count: usize,
-    dt: &Datatype,
-) -> MrtResult<usize> {
     let packed = dt.size() * count;
     let t0 = clock.now();
     let span = dt.span(count);
@@ -53,11 +38,11 @@ pub(crate) fn stage_from_array_at(
     }
     if dt.is_contiguous() {
         // One bulk copy.
-        rt.direct_write_from_heap(store, store_off, src, src_byte_off, packed, clock)?;
+        rt.direct_write_from_heap(store, 0, src, src_byte_off, packed, clock)?;
     } else {
         let segs = dt.segments();
         let ext = dt.extent();
-        let mut pos = store_off;
+        let mut pos = 0;
         for i in 0..count {
             let base = src_byte_off + i * ext;
             for &(off, len) in &segs {
@@ -66,7 +51,7 @@ pub(crate) fn stage_from_array_at(
                 pos += len;
             }
         }
-        debug_assert_eq!(pos, store_off + packed);
+        debug_assert_eq!(pos, packed);
     }
     if obs::tracing_enabled() {
         obs::span(
@@ -92,22 +77,6 @@ pub(crate) fn unstage_to_array(
     dt: &Datatype,
     filled: usize,
 ) -> MrtResult<()> {
-    unstage_to_array_at(rt, clock, store, 0, dest, count, dt, filled)
-}
-
-/// Like [`unstage_to_array`], but reading packed bytes from `store` at
-/// `store_off`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unstage_to_array_at(
-    rt: &mut Runtime,
-    clock: &mut Clock,
-    store: DirectBuffer,
-    store_off: usize,
-    dest: &ArrayDest,
-    count: usize,
-    dt: &Datatype,
-    filled: usize,
-) -> MrtResult<()> {
     let elem = dt.size();
     if elem == 0 || filled == 0 {
         return Ok(());
@@ -123,18 +92,11 @@ pub(crate) fn unstage_to_array_at(
         });
     }
     if dt.is_contiguous() {
-        rt.direct_read_into_heap(
-            store,
-            store_off,
-            dest.handle,
-            dest.byte_off,
-            full * elem,
-            clock,
-        )?;
+        rt.direct_read_into_heap(store, 0, dest.handle, dest.byte_off, full * elem, clock)?;
     } else {
         let segs = dt.segments();
         let ext = dt.extent();
-        let mut pos = store_off;
+        let mut pos = 0;
         for i in 0..full {
             let base = dest.byte_off + i * ext;
             for &(off, len) in &segs {

@@ -352,7 +352,8 @@ fn comm_split_and_collectives_on_subcomm() {
         let recv = env.new_array::<i32>(1).unwrap();
         env.allreduce_array(send, recv, 1, ReduceOp::Sum, sub)
             .unwrap();
-        let want = if color == 0 { 0 + 2 } else { 1 + 3 };
+        // Sum of the ranks in each color: {0, 2} and {1, 3}.
+        let want = if color == 0 { 2 } else { 4 };
         assert_eq!(env.array_get(recv, 0).unwrap(), want);
         env.comm_free(sub).unwrap();
     });
@@ -389,6 +390,9 @@ fn truncation_surfaces_as_mpi_exception() {
         if env.rank() == 0 {
             let arr = env.new_array::<i32>(8).unwrap();
             env.send_array(arr, 8, 1, 0, w).unwrap();
+            env.send_array(arr, 8, 1, 1, w).unwrap();
+            let buf = env.new_direct(4);
+            env.send_buffer(buf, 1, &INT, 1, 2, w).unwrap();
         } else {
             let arr = env.new_array::<i32>(2).unwrap();
             let err = env.recv_array(arr, 2, 0, 0, w).unwrap_err();
@@ -396,6 +400,61 @@ fn truncation_surfaces_as_mpi_exception() {
                 err,
                 BindError::Mpi(mpisim::MpiError::Truncated { .. })
             ));
+            // The failed receive still returns its staging to the pool.
+            assert_eq!(env.pool_stats().outstanding, 0);
+
+            let buf = env.new_direct(64);
+            let reqs = vec![
+                env.irecv_array(arr, 2, 0, 1, w).unwrap(),
+                env.irecv_buffer(buf, 1, &INT, 0, 2, w).unwrap(),
+            ];
+            let err = env.waitall(reqs).unwrap_err();
+            assert!(matches!(
+                err,
+                BindError::Mpi(mpisim::MpiError::Truncated { .. })
+            ));
+            assert_eq!(env.pool_stats().outstanding, 0);
+        }
+    });
+}
+
+#[test]
+fn failed_testany_leaves_the_batch_in_place() {
+    run_job(cfg2(), |env| {
+        let w = env.world();
+        if env.rank() == 0 {
+            let buf = env.new_direct(32);
+            env.send_buffer(buf, 8, &INT, 1, 1, w).unwrap();
+            let sig = env.new_direct(4);
+            env.recv_buffer(sig, 1, &INT, 1, 9, w).unwrap();
+            env.direct_put::<i32>(buf, 0, 55).unwrap();
+            env.send_buffer(buf, 1, &INT, 1, 5, w).unwrap();
+        } else {
+            let healthy = env.new_direct(4);
+            let short = env.new_direct(8);
+            let mut reqs = vec![
+                env.irecv_buffer(healthy, 1, &INT, 0, 5, w).unwrap(),
+                env.irecv_buffer(short, 2, &INT, 0, 1, w).unwrap(),
+            ];
+            let err = loop {
+                match env.testany(&mut reqs) {
+                    Ok(None) => std::thread::yield_now(),
+                    Ok(Some(hit)) => panic!("only the truncated receive can finish: {hit:?}"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(
+                err,
+                BindError::Mpi(mpisim::MpiError::Truncated { .. })
+            ));
+            // The pending receive is still the caller's and still completes.
+            let kept = reqs.len();
+            let sig = env.new_direct(4);
+            env.send_buffer(sig, 1, &INT, 0, 9, w).unwrap();
+            let st = env.wait(reqs.remove(0)).unwrap();
+            assert_eq!((st.tag, st.bytes), (5, 4));
+            assert_eq!(env.direct_get::<i32>(healthy, 0).unwrap(), 55);
+            assert_eq!(kept, 2, "a failed poll must not remove requests");
         }
     });
 }

@@ -414,8 +414,8 @@ impl MatchSpec {
 
     fn matches(&self, env: &Envelope) -> bool {
         env.context == self.context
-            && self.src.map_or(true, |s| s == env.src)
-            && self.tag.map_or(true, |t| t == env.tag)
+            && self.src.is_none_or(|s| s == env.src)
+            && self.tag.is_none_or(|t| t == env.tag)
     }
 }
 
@@ -1520,16 +1520,16 @@ impl Engine {
     }
 
     fn is_complete(&self, req: Request) -> bool {
-        match self.requests.get(&req.0) {
+        matches!(
+            self.requests.get(&req.0),
             Some(ReqState::Send(SendState::EagerDone { .. }))
-            | Some(ReqState::Send(SendState::RndvDone { .. }))
-            | Some(ReqState::Recv {
-                state: RecvState::Ready { .. },
-                ..
-            })
-            | Some(ReqState::RmaGet { state: Some(_), .. }) => true,
-            _ => false,
-        }
+                | Some(ReqState::Send(SendState::RndvDone { .. }))
+                | Some(ReqState::Recv {
+                    state: RecvState::Ready { .. },
+                    ..
+                })
+                | Some(ReqState::RmaGet { state: Some(_), .. })
+        )
     }
 
     /// Whether `req` is complete (delivery-wise) without consuming it.
@@ -2099,7 +2099,7 @@ impl Engine {
         data: &[u8],
     ) -> MpiResult<VTime> {
         self.check_rma_target(dst)?;
-        if data.len() % 4 != 0 {
+        if !data.len().is_multiple_of(4) {
             return Err(MpiError::ProtocolError(
                 "accumulate payloads must be whole 32-bit lanes",
             ));

@@ -67,6 +67,23 @@ struct IcollState {
     err: Option<MpiError>,
 }
 
+/// Lends [`Mpi::waitall`] each request's receive destination at the
+/// moment that request is consumed, one at a time: a caller can hand out
+/// storage it could never borrow for all requests at once (a window of
+/// receives into one buffer).
+pub trait RecvLender {
+    /// Destination for request `i`'s payload (`None` when it carries
+    /// none).
+    fn lend(&mut self, i: usize) -> Option<&mut [u8]>;
+}
+
+/// Destinations collected up front, by request index.
+impl RecvLender for Vec<Option<&mut [u8]>> {
+    fn lend(&mut self, i: usize) -> Option<&mut [u8]> {
+        self.get_mut(i)?.as_deref_mut()
+    }
+}
+
 /// Per-communicator error handler (MPI_Errhandler).
 ///
 /// Routing applies only to *transport-class* errors
@@ -369,6 +386,31 @@ impl Mpi {
         Ok(payload)
     }
 
+    /// Deposit a receive payload into `buf` per `count` elements of `dt`,
+    /// charging the native unpack engine for non-contiguous layouts.
+    /// Returns the payload size.
+    fn unpack_payload(
+        &mut self,
+        data: &[u8],
+        count: usize,
+        dt: &Datatype,
+        buf: Option<&mut [u8]>,
+    ) -> MpiResult<usize> {
+        let bytes = data.len();
+        let out = buf.ok_or(MpiError::BufferTooSmall {
+            needed: bytes,
+            available: 0,
+        })?;
+        dt.unpack(data, count, out)?;
+        if !dt.is_contiguous() {
+            let per_byte = self.eng.profile().pack_per_byte_ns;
+            self.eng
+                .clock_mut()
+                .charge(VDur::from_nanos(bytes as f64 * per_byte));
+        }
+        Ok(bytes)
+    }
+
     /// Blocking standard-mode send (MPI_Send).
     pub fn send(
         &mut self,
@@ -482,18 +524,7 @@ impl Mpi {
         match recv {
             None => Ok(status),
             Some((dt, count)) => {
-                let bytes = completion.data.len();
-                let out = buf.ok_or(MpiError::BufferTooSmall {
-                    needed: bytes,
-                    available: 0,
-                })?;
-                dt.unpack(&completion.data, *count, out)?;
-                if !dt.is_contiguous() {
-                    let per_byte = self.eng.profile().pack_per_byte_ns;
-                    self.eng
-                        .clock_mut()
-                        .charge(VDur::from_nanos(bytes as f64 * per_byte));
-                }
+                let bytes = self.unpack_payload(&completion.data, *count, dt, buf)?;
                 Ok(Status { bytes, ..status })
             }
         }
@@ -553,16 +584,17 @@ impl Mpi {
     /// progression is *joint*: everything is driven to completion first,
     /// then consumption costs are charged in virtual-completion-time order
     /// — an early-completing later request never waits on an earlier slow
-    /// one.
-    pub fn waitall(
+    /// one. Request `i`'s destination is borrowed from `dests` only at
+    /// the moment `i` is consumed, so several receives may share one
+    /// buffer.
+    pub fn waitall<L: RecvLender>(
         &mut self,
         reqs: Vec<MpiRequest>,
-        mut bufs: Vec<Option<&mut [u8]>>,
+        mut dests: L,
     ) -> MpiResult<Vec<Status>> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        bufs.resize_with(reqs.len(), || None);
         let wait_begin = self.eng.now();
         // Phase 1: drive everything to completion without consuming.
         loop {
@@ -608,7 +640,7 @@ impl Mpi {
             std::iter::repeat_with(|| None).take(reqs.len()).collect();
         for (_, i) in order {
             let req = reqs[i].take().expect("each index consumed once");
-            let buf = bufs[i].take();
+            let buf = dests.lend(i);
             let status = match req.raw {
                 ReqKind::P2p(raw) => {
                     let completion = self.eng.try_complete(raw);
@@ -682,6 +714,7 @@ impl Mpi {
     }
 
     /// MPI_Reduce. `recv` must be `Some` on the root.
+    #[allow(clippy::too_many_arguments)]
     pub fn reduce(
         &mut self,
         send: &[u8],
@@ -808,6 +841,7 @@ impl Mpi {
     }
 
     /// MPI_Allgatherv.
+    #[allow(clippy::too_many_arguments)]
     pub fn allgatherv(
         &mut self,
         send: &[u8],
@@ -1004,25 +1038,11 @@ impl Mpi {
                 tag: 0,
                 bytes: 0,
             }),
-            Some((dt, count)) => {
-                let bytes = data.len();
-                let out = buf.ok_or(MpiError::BufferTooSmall {
-                    needed: bytes,
-                    available: 0,
-                })?;
-                dt.unpack(&data, count, out)?;
-                if !dt.is_contiguous() {
-                    let per_byte = self.eng.profile().pack_per_byte_ns;
-                    self.eng
-                        .clock_mut()
-                        .charge(VDur::from_nanos(bytes as f64 * per_byte));
-                }
-                Ok(Status {
-                    source: my_rank,
-                    tag: 0,
-                    bytes,
-                })
-            }
+            Some((dt, count)) => Ok(Status {
+                source: my_rank,
+                tag: 0,
+                bytes: self.unpack_payload(&data, count, &dt, buf)?,
+            }),
         }
     }
 

@@ -47,7 +47,7 @@ fn two_recv_job(join: bool) -> f64 {
                 let mut fast_buf = vec![0u8; 256];
                 if join {
                     let st = mpi
-                        .waitall(
+                        .waitall::<Vec<Option<&mut [u8]>>>(
                             vec![r_slow, r_fast],
                             vec![Some(&mut slow_buf), Some(&mut fast_buf)],
                         )
@@ -108,7 +108,7 @@ fn waitall_mixes_pt2pt_and_collective_requests() {
         let mut coll_buf = vec![0u8; 128];
         let mut recv_buf = vec![0u8; 128];
         let st = mpi
-            .waitall(
+            .waitall::<Vec<Option<&mut [u8]>>>(
                 vec![r_coll, r_recv, r_send],
                 vec![Some(&mut coll_buf), Some(&mut recv_buf), None],
             )
@@ -144,7 +144,7 @@ fn waitall_mixes_pt2pt_and_collective_requests() {
         let r_send = mpi.isend(&mine, 32, &INT, right, 7, world).unwrap();
         let mut coll_buf = vec![0u8; 128];
         let mut recv_buf = vec![0u8; 128];
-        mpi.waitall(
+        mpi.waitall::<Vec<Option<&mut [u8]>>>(
             vec![r_coll, r_recv, r_send],
             vec![Some(&mut coll_buf), Some(&mut recv_buf), None],
         )

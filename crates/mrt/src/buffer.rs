@@ -117,6 +117,22 @@ impl DirectRegion {
             .and_then(|s| s.as_mut())
             .ok_or(MrtError::UseAfterFree)
     }
+
+    /// Borrow two distinct live buffers at once: `src` shared, `dst`
+    /// exclusive.
+    pub fn get_pair(
+        &mut self,
+        src: DirectBuffer,
+        dst: DirectBuffer,
+    ) -> MrtResult<(&DirectBuf, &mut DirectBuf)> {
+        self.get(src)?;
+        self.get(dst)?;
+        let [s, d] = self
+            .bufs
+            .get_disjoint_mut([src.id as usize, dst.id as usize])
+            .map_err(|_| MrtError::AliasedBuffers)?;
+        Ok((s.as_ref().expect("live"), d.as_mut().expect("live")))
+    }
 }
 
 #[cfg(test)]
@@ -135,6 +151,24 @@ mod tests {
         assert_eq!(r.allocated_bytes, 0);
         assert_eq!(r.get(b).unwrap_err(), MrtError::UseAfterFree);
         assert_eq!(r.free(b).unwrap_err(), MrtError::UseAfterFree);
+    }
+
+    #[test]
+    fn pairs_borrow_two_distinct_live_buffers() {
+        let mut r = DirectRegion::default();
+        let a = r.allocate(4, ByteOrder::Little);
+        let b = r.allocate(8, ByteOrder::Little);
+        r.get_mut(a).unwrap().data.fill(7);
+        for (src, dst) in [(a, b), (b, a)] {
+            let (s, d) = r.get_pair(src, dst).unwrap();
+            let n = s.data.len().min(d.data.len());
+            d.data[..n].copy_from_slice(&s.data[..n]);
+        }
+        assert_eq!(&r.get(b).unwrap().data[..], &[7, 7, 7, 7, 0, 0, 0, 0]);
+        assert_eq!(r.get_pair(a, a).unwrap_err(), MrtError::AliasedBuffers);
+        r.free(b).unwrap();
+        assert_eq!(r.get_pair(a, b).unwrap_err(), MrtError::UseAfterFree);
+        assert_eq!(r.get_pair(b, b).unwrap_err(), MrtError::UseAfterFree);
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub enum MrtError {
     },
     /// Direct buffer already freed.
     UseAfterFree,
+    /// One direct buffer passed as both the source and the destination
+    /// of a single operation (MPI_ERR_BUFFER: MPI forbids aliased send
+    /// and receive buffers).
+    AliasedBuffers,
 }
 
 impl fmt::Display for MrtError {
@@ -53,6 +57,9 @@ impl fmt::Display for MrtError {
                 write!(f, "type mismatch: expected {expected}, found {actual}")
             }
             MrtError::UseAfterFree => write!(f, "direct buffer used after free"),
+            MrtError::AliasedBuffers => {
+                write!(f, "the same direct buffer passed as source and destination")
+            }
         }
     }
 }

@@ -368,8 +368,6 @@ mod tests {
             h.collect(&mut c, &cost);
         }
         let data = h.bytes(keep).unwrap();
-        for i in 0..64 {
-            assert_eq!(data[i], i as u8);
-        }
+        assert_eq!(data, &(0..64u8).collect::<Vec<_>>()[..]);
     }
 }

@@ -396,6 +396,29 @@ impl Runtime {
         Ok(&mut self.direct.get_mut(b)?.data)
     }
 
+    /// Raw storage of a managed object and a direct buffer side by side
+    /// (see [`Runtime::direct_bytes`]).
+    pub fn heap_and_direct_bytes(
+        &mut self,
+        src: Handle,
+        b: DirectBuffer,
+    ) -> MrtResult<(&[u8], &mut [u8])> {
+        Ok((self.heap.bytes(src)?, &mut self.direct.get_mut(b)?.data))
+    }
+
+    /// Raw storage of two distinct direct buffers at once: `src` to read
+    /// and `dst` to write, lent side by side to one native call (see
+    /// [`Runtime::direct_bytes`]). Passing one buffer as both is
+    /// [`MrtError::AliasedBuffers`].
+    pub fn direct_bytes_pair(
+        &mut self,
+        src: DirectBuffer,
+        dst: DirectBuffer,
+    ) -> MrtResult<(&[u8], &mut [u8])> {
+        let (s, d) = self.direct.get_pair(src, dst)?;
+        Ok((&s.data, &mut d.data))
+    }
+
     // ------------------------------------------------------------------
     // Heap ByteBuffers
     // ------------------------------------------------------------------
@@ -690,6 +713,22 @@ mod tests {
                 length: 8
             })
         );
+    }
+
+    #[test]
+    fn raw_views_borrow_two_regions_at_once() {
+        let (mut rt, mut c) = setup();
+        let a = rt.alloc_array::<i8>(4, &mut c).unwrap();
+        rt.array_write(a, 0, &[1, 2, 3, 4], &mut c).unwrap();
+        let (s, d) = (rt.allocate_direct(4, &mut c), rt.allocate_direct(6, &mut c));
+        let (obj, src) = rt.heap_and_direct_bytes(a.handle(), s).unwrap();
+        src.copy_from_slice(obj);
+        let (src, dst) = rt.direct_bytes_pair(s, d).unwrap();
+        dst[1..5].copy_from_slice(src);
+        assert_eq!(rt.direct_bytes(d).unwrap(), &[0, 1, 2, 3, 4, 0]);
+        assert_eq!(rt.direct_bytes_pair(d, d), Err(MrtError::AliasedBuffers));
+        rt.free_direct(s, &mut c).unwrap();
+        assert_eq!(rt.direct_bytes_pair(s, d), Err(MrtError::UseAfterFree));
     }
 
     #[test]

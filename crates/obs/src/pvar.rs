@@ -85,12 +85,14 @@ impl Log2Hist {
     }
 }
 
-/// One pvar's current value.
+/// One pvar's current value. Histograms are boxed so the bucket array
+/// does not size every counter's slot (telemetry keeps one pvar set per
+/// time bin).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PvarValue {
     Counter(u64),
     Gauge { last: i64, max: i64 },
-    Hist(Log2Hist),
+    Hist(Box<Log2Hist>),
 }
 
 impl PvarValue {
@@ -113,7 +115,7 @@ impl PvarValue {
     /// Histogram, if this is one.
     pub fn as_hist(&self) -> Option<&Log2Hist> {
         match self {
-            PvarValue::Hist(h) => Some(h),
+            PvarValue::Hist(h) => Some(h.as_ref()),
             _ => None,
         }
     }
@@ -165,7 +167,7 @@ impl PvarSet {
             Some(PvarValue::Hist(h)) => h.observe(v),
             Some(other) => panic!("pvar {name:?} is not a histogram: {other:?}"),
             None => {
-                let mut h = Log2Hist::default();
+                let mut h = Box::<Log2Hist>::default();
                 h.observe(v);
                 self.vars.insert(name.to_string(), PvarValue::Hist(h));
             }
