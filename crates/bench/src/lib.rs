@@ -6,6 +6,5 @@
 //! all; `EXPERIMENTS.md` records paper-vs-measured values.
 
 pub mod figures;
-pub mod perf;
 
 pub use figures::{all_figure_ids, headline_summary, run_figure, Figure, Scale, Summary};

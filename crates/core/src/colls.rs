@@ -17,7 +17,7 @@ use mpisim::datatype::Datatype;
 use mpisim::{CommHandle, ReduceOp};
 use mpjbuf::Buffer;
 use mrt::prim::Prim;
-use mrt::{DirectBuffer, JArray};
+use mrt::{DirectBuffer, JArray, MrtResult};
 
 use crate::datatype::datatype_of;
 use crate::env::Env;
@@ -44,7 +44,7 @@ impl Env {
         let staging = self.stage_empty(elems * T::SIZE);
         let dt = datatype_of::<T>();
         let clock = self.mpi.clock_mut();
-        stage_from_array(
+        let staged = stage_from_array(
             &mut self.rt,
             clock,
             staging.store(),
@@ -52,8 +52,8 @@ impl Env {
             0,
             elems,
             &dt,
-        )?;
-        Ok(staging)
+        );
+        self.keep_staging(staging, staged.map(drop))
     }
 
     /// Acquire a pooled staging buffer for `nbytes` without copying in.
@@ -62,12 +62,38 @@ impl Env {
         Buffer::from_pool(&mut self.pool, &mut self.rt, clock, nbytes.max(1))
     }
 
+    /// Hand `staging` back when filling it succeeded; return it to the
+    /// pool when not.
+    fn keep_staging(&mut self, staging: Buffer, filled: MrtResult<()>) -> BindResult<Buffer> {
+        match filled {
+            Ok(()) => Ok(staging),
+            Err(e) => {
+                self.release_staging(staging);
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Run `body` on the storage of the staging buffers `held`, then
+    /// return them to the pool in order, on every exit. Nesting calls
+    /// releases inner staging before outer staging.
+    fn with_staging<const N: usize, R>(
+        &mut self,
+        held: [Buffer; N],
+        body: impl FnOnce(&mut Self, [DirectBuffer; N]) -> BindResult<R>,
+    ) -> BindResult<R> {
+        let res = body(self, held.each_ref().map(Buffer::store));
+        for staging in held {
+            self.release_staging(staging);
+        }
+        res
+    }
+
     /// Scatter the first `nbytes` the native library deposited into the
-    /// staging buffer over the start of the array (charged), and return
-    /// the staging buffer to the pool.
+    /// staging store over the start of the array (charged).
     fn unstage_region<T: Prim>(
         &mut self,
-        staging: Buffer,
+        store: DirectBuffer,
         arr: JArray<T>,
         nbytes: usize,
     ) -> BindResult<()> {
@@ -78,17 +104,15 @@ impl Env {
             byte_len: arr.byte_len(),
         };
         let clock = self.mpi.clock_mut();
-        let unstaged = unstage_to_array(
+        Ok(unstage_to_array(
             &mut self.rt,
             clock,
-            staging.store(),
+            store,
             &dest,
             nbytes / T::SIZE,
             &dt,
             nbytes,
-        );
-        self.release_staging(staging);
-        Ok(unstaged?)
+        )?)
     }
 
     /// Receive staging seeded with the array's current contents
@@ -97,11 +121,11 @@ impl Env {
     fn stage_seeded<T: Prim>(&mut self, arr: JArray<T>) -> BindResult<Buffer> {
         let n = arr.byte_len();
         let staging = self.stage_empty(n);
-        let (obj, store) = self
+        let seeded = self
             .rt
-            .heap_and_direct_bytes(arr.handle(), staging.store())?;
-        store[..n].copy_from_slice(&obj[..n]);
-        Ok(staging)
+            .heap_and_direct_bytes(arr.handle(), staging.store())
+            .map(|(obj, store)| store[..n].copy_from_slice(&obj[..n]));
+        self.keep_staging(staging, seeded)
     }
 
     // ------------------------------------------------------------------
@@ -146,22 +170,23 @@ impl Env {
         self.binding_call();
         let me = self.mpi.rank(comm)?;
         let dt = datatype_of::<T>();
-        let elems = count.max(0) as usize;
+        let elems = Self::check_count(count)?;
         let n = elems * T::SIZE;
         let staging = if me == root {
             self.stage_region(arr, elems)?
         } else {
             self.stage_empty(n)
         };
-        self.charge_buffer_address();
-        let bytes = &mut self.rt.direct_bytes_mut(staging.store())?[..n];
-        self.mpi.bcast(bytes, count, &dt, root, comm)?;
-        if me == root {
-            self.release_staging(staging);
-            Ok(())
-        } else {
-            self.unstage_region(staging, arr, n)
-        }
+        self.with_staging([staging], |env, [store]| {
+            env.charge_buffer_address();
+            let bytes = &mut env.rt.direct_bytes_mut(store)?[..n];
+            env.mpi.bcast(bytes, count, &dt, root, comm)?;
+            if me == root {
+                Ok(())
+            } else {
+                env.unstage_region(store, arr, n)
+            }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -213,29 +238,29 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let elems = count.max(0) as usize;
+        let elems = Self::check_count(count)?;
         let n = elems * T::SIZE;
         let staging = self.stage_region(send, elems)?;
-        self.charge_buffer_address();
-        let me = self.mpi.rank(comm)?;
-        if me == root {
+        self.with_staging([staging], |env, [store]| {
+            env.charge_buffer_address();
+            let me = env.mpi.rank(comm)?;
+            if me != root {
+                let s = env.rt.direct_bytes(store)?;
+                env.mpi.reduce(&s[..n], None, count, &dt, op, root, comm)?;
+                return Ok(());
+            }
             let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
                 needed: dt.span(elems),
                 available: 0,
             }))?;
-            let rstaging = self.stage_empty(n);
-            let (s, r) = self
-                .rt
-                .direct_bytes_pair(staging.store(), rstaging.store())?;
-            self.mpi
-                .reduce(&s[..n], Some(&mut r[..n]), count, &dt, op, root, comm)?;
-            self.unstage_region(rstaging, out, n)?;
-        } else {
-            let s = self.rt.direct_bytes(staging.store())?;
-            self.mpi.reduce(&s[..n], None, count, &dt, op, root, comm)?;
-        }
-        self.release_staging(staging);
-        Ok(())
+            let rstaging = env.stage_empty(n);
+            env.with_staging([rstaging], |env, [rstore]| {
+                let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+                env.mpi
+                    .reduce(&s[..n], Some(&mut r[..n]), count, &dt, op, root, comm)?;
+                env.unstage_region(rstore, out, n)
+            })
+        })
     }
 
     /// `comm.allReduce(send, recv, count, datatype, op)` over buffers.
@@ -267,19 +292,17 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let elems = count.max(0) as usize;
+        let elems = Self::check_count(count)?;
         let n = elems * T::SIZE;
         let staging = self.stage_region(send, elems)?;
         let rstaging = self.stage_empty(n);
-        self.charge_buffer_address();
-        let (s, r) = self
-            .rt
-            .direct_bytes_pair(staging.store(), rstaging.store())?;
-        self.mpi
-            .allreduce(&s[..n], &mut r[..n], count, &dt, op, comm)?;
-        self.unstage_region(rstaging, recv, n)?;
-        self.release_staging(staging);
-        Ok(())
+        self.with_staging([rstaging, staging], |env, [rstore, store]| {
+            env.charge_buffer_address();
+            let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+            env.mpi
+                .allreduce(&s[..n], &mut r[..n], count, &dt, op, comm)?;
+            env.unstage_region(rstore, recv, n)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -325,27 +348,27 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let elems = count.max(0) as usize;
+        let elems = Self::check_count(count)?;
         let n = elems * T::SIZE;
         let p = self.mpi.size(comm)?;
         let staging = self.stage_region(send, elems)?;
-        self.charge_buffer_address();
-        let me = self.mpi.rank(comm)?;
-        if me == root {
+        self.with_staging([staging], |env, [store]| {
+            env.charge_buffer_address();
+            let me = env.mpi.rank(comm)?;
+            if me != root {
+                let s = env.rt.direct_bytes(store)?;
+                env.mpi.gather(&s[..n], None, count, &dt, root, comm)?;
+                return Ok(());
+            }
             let out = required_at_root(recv)?;
-            let rstaging = self.stage_empty(n * p);
-            let (s, r) = self
-                .rt
-                .direct_bytes_pair(staging.store(), rstaging.store())?;
-            self.mpi
-                .gather(&s[..n], Some(&mut r[..n * p]), count, &dt, root, comm)?;
-            self.unstage_region(rstaging, out, n * p)?;
-        } else {
-            let s = self.rt.direct_bytes(staging.store())?;
-            self.mpi.gather(&s[..n], None, count, &dt, root, comm)?;
-        }
-        self.release_staging(staging);
-        Ok(())
+            let rstaging = env.stage_empty(n * p);
+            env.with_staging([rstaging], |env, [rstore]| {
+                let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+                env.mpi
+                    .gather(&s[..n], Some(&mut r[..n * p]), count, &dt, root, comm)?;
+                env.unstage_region(rstore, out, n * p)
+            })
+        })
     }
 
     /// `comm.gatherv` over buffers (vectored blocking collective).
@@ -401,32 +424,32 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let staging = self.stage_region(send, send.len())?;
-        self.charge_buffer_address();
-        let me = self.mpi.rank(comm)?;
-        if me == root {
+        self.with_staging([staging], |env, [store]| {
+            env.charge_buffer_address();
+            let me = env.mpi.rank(comm)?;
+            if me != root {
+                let s = &env.rt.direct_bytes(store)?[..send.byte_len()];
+                env.mpi
+                    .gatherv(s, sendcount, None, recvcounts, displs, &dt, root, comm)?;
+                return Ok(());
+            }
             let out = required_at_root(recv)?;
-            let rstaging = self.stage_seeded(out)?;
-            let (s, r) = self
-                .rt
-                .direct_bytes_pair(staging.store(), rstaging.store())?;
-            self.mpi.gatherv(
-                &s[..send.byte_len()],
-                sendcount,
-                Some(&mut r[..out.byte_len()]),
-                recvcounts,
-                displs,
-                &dt,
-                root,
-                comm,
-            )?;
-            self.unstage_region(rstaging, out, out.byte_len())?;
-        } else {
-            let s = &self.rt.direct_bytes(staging.store())?[..send.byte_len()];
-            self.mpi
-                .gatherv(s, sendcount, None, recvcounts, displs, &dt, root, comm)?;
-        }
-        self.release_staging(staging);
-        Ok(())
+            let rstaging = env.stage_seeded(out)?;
+            env.with_staging([rstaging], |env, [rstore]| {
+                let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+                env.mpi.gatherv(
+                    &s[..send.byte_len()],
+                    sendcount,
+                    Some(&mut r[..out.byte_len()]),
+                    recvcounts,
+                    displs,
+                    &dt,
+                    root,
+                    comm,
+                )?;
+                env.unstage_region(rstore, out, out.byte_len())
+            })
+        })
     }
 
     /// `comm.scatter` over buffers; `send` significant at root.
@@ -471,28 +494,30 @@ impl Env {
         let n = recv.byte_len();
         // Seeded: elements past the received block unstage unchanged.
         let rstaging = self.stage_seeded(recv)?;
-        if me == root {
-            let src = required_at_root(send)?;
-            let staging = self.stage_region(src, src.len())?;
-            self.charge_buffer_address();
-            let (s, r) = self
-                .rt
-                .direct_bytes_pair(staging.store(), rstaging.store())?;
-            self.mpi.scatter(
-                Some(&s[..src.byte_len()]),
-                &mut r[..n],
-                count,
-                &dt,
-                root,
-                comm,
-            )?;
-            self.release_staging(staging);
-        } else {
-            self.charge_buffer_address();
-            let r = &mut self.rt.direct_bytes_mut(rstaging.store())?[..n];
-            self.mpi.scatter(None, r, count, &dt, root, comm)?;
-        }
-        self.unstage_region(rstaging, recv, n)
+        self.with_staging([rstaging], |env, [rstore]| {
+            if me == root {
+                let src = required_at_root(send)?;
+                let staging = env.stage_region(src, src.len())?;
+                env.with_staging([staging], |env, [store]| {
+                    env.charge_buffer_address();
+                    let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+                    env.mpi.scatter(
+                        Some(&s[..src.byte_len()]),
+                        &mut r[..n],
+                        count,
+                        &dt,
+                        root,
+                        comm,
+                    )?;
+                    Ok(())
+                })?;
+            } else {
+                env.charge_buffer_address();
+                let r = &mut env.rt.direct_bytes_mut(rstore)?[..n];
+                env.mpi.scatter(None, r, count, &dt, root, comm)?;
+            }
+            env.unstage_region(rstore, recv, n)
+        })
     }
 
     /// `comm.scatterv` over buffers.
@@ -550,31 +575,33 @@ impl Env {
         let me = self.mpi.rank(comm)?;
         let n = recv.byte_len();
         let rstaging = self.stage_seeded(recv)?;
-        if me == root {
-            let src = required_at_root(send)?;
-            let staging = self.stage_region(src, src.len())?;
-            self.charge_buffer_address();
-            let (s, r) = self
-                .rt
-                .direct_bytes_pair(staging.store(), rstaging.store())?;
-            self.mpi.scatterv(
-                Some(&s[..src.byte_len()]),
-                sendcounts,
-                displs,
-                &mut r[..n],
-                recvcount,
-                &dt,
-                root,
-                comm,
-            )?;
-            self.release_staging(staging);
-        } else {
-            self.charge_buffer_address();
-            let r = &mut self.rt.direct_bytes_mut(rstaging.store())?[..n];
-            self.mpi
-                .scatterv(None, sendcounts, displs, r, recvcount, &dt, root, comm)?;
-        }
-        self.unstage_region(rstaging, recv, n)
+        self.with_staging([rstaging], |env, [rstore]| {
+            if me == root {
+                let src = required_at_root(send)?;
+                let staging = env.stage_region(src, src.len())?;
+                env.with_staging([staging], |env, [store]| {
+                    env.charge_buffer_address();
+                    let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+                    env.mpi.scatterv(
+                        Some(&s[..src.byte_len()]),
+                        sendcounts,
+                        displs,
+                        &mut r[..n],
+                        recvcount,
+                        &dt,
+                        root,
+                        comm,
+                    )?;
+                    Ok(())
+                })?;
+            } else {
+                env.charge_buffer_address();
+                let r = &mut env.rt.direct_bytes_mut(rstore)?[..n];
+                env.mpi
+                    .scatterv(None, sendcounts, displs, r, recvcount, &dt, root, comm)?;
+            }
+            env.unstage_region(rstore, recv, n)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -607,20 +634,18 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let elems = count.max(0) as usize;
+        let elems = Self::check_count(count)?;
         let n = elems * T::SIZE;
         let p = self.mpi.size(comm)?;
         let staging = self.stage_region(send, elems)?;
         let rstaging = self.stage_empty(n * p);
-        self.charge_buffer_address();
-        let (s, r) = self
-            .rt
-            .direct_bytes_pair(staging.store(), rstaging.store())?;
-        self.mpi
-            .allgather(&s[..n], &mut r[..n * p], count, &dt, comm)?;
-        self.unstage_region(rstaging, recv, n * p)?;
-        self.release_staging(staging);
-        Ok(())
+        self.with_staging([rstaging, staging], |env, [rstore, store]| {
+            env.charge_buffer_address();
+            let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+            env.mpi
+                .allgather(&s[..n], &mut r[..n * p], count, &dt, comm)?;
+            env.unstage_region(rstore, recv, n * p)
+        })
     }
 
     /// `comm.allGatherv` over buffers.
@@ -658,23 +683,23 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let staging = self.stage_region(send, send.len())?;
-        let rstaging = self.stage_seeded(recv)?;
-        self.charge_buffer_address();
-        let (s, r) = self
-            .rt
-            .direct_bytes_pair(staging.store(), rstaging.store())?;
-        self.mpi.allgatherv(
-            &s[..send.byte_len()],
-            sendcount,
-            &mut r[..recv.byte_len()],
-            recvcounts,
-            displs,
-            &dt,
-            comm,
-        )?;
-        self.unstage_region(rstaging, recv, recv.byte_len())?;
-        self.release_staging(staging);
-        Ok(())
+        self.with_staging([staging], |env, [store]| {
+            let rstaging = env.stage_seeded(recv)?;
+            env.with_staging([rstaging], |env, [rstore]| {
+                env.charge_buffer_address();
+                let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+                env.mpi.allgatherv(
+                    &s[..send.byte_len()],
+                    sendcount,
+                    &mut r[..recv.byte_len()],
+                    recvcounts,
+                    displs,
+                    &dt,
+                    comm,
+                )?;
+                env.unstage_region(rstore, recv, recv.byte_len())
+            })
+        })
     }
 
     /// `comm.allToAll` over buffers.
@@ -703,19 +728,17 @@ impl Env {
     ) -> BindResult<()> {
         self.binding_call();
         let dt = datatype_of::<T>();
-        let elems = count.max(0) as usize;
+        let elems = Self::check_count(count)?;
         let p = self.mpi.size(comm)?;
         let n = elems * p * T::SIZE;
         let staging = self.stage_region(send, elems * p)?;
         let rstaging = self.stage_empty(n);
-        self.charge_buffer_address();
-        let (s, r) = self
-            .rt
-            .direct_bytes_pair(staging.store(), rstaging.store())?;
-        self.mpi.alltoall(&s[..n], &mut r[..n], count, &dt, comm)?;
-        self.unstage_region(rstaging, recv, n)?;
-        self.release_staging(staging);
-        Ok(())
+        self.with_staging([rstaging, staging], |env, [rstore, store]| {
+            env.charge_buffer_address();
+            let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+            env.mpi.alltoall(&s[..n], &mut r[..n], count, &dt, comm)?;
+            env.unstage_region(rstore, recv, n)
+        })
     }
 
     /// `comm.allToAllv` over buffers.
@@ -755,23 +778,23 @@ impl Env {
         self.binding_call();
         let dt = datatype_of::<T>();
         let staging = self.stage_region(send, send.len())?;
-        let rstaging = self.stage_seeded(recv)?;
-        self.charge_buffer_address();
-        let (s, r) = self
-            .rt
-            .direct_bytes_pair(staging.store(), rstaging.store())?;
-        self.mpi.alltoallv(
-            &s[..send.byte_len()],
-            sendcounts,
-            sdispls,
-            &mut r[..recv.byte_len()],
-            recvcounts,
-            rdispls,
-            &dt,
-            comm,
-        )?;
-        self.unstage_region(rstaging, recv, recv.byte_len())?;
-        self.release_staging(staging);
-        Ok(())
+        self.with_staging([staging], |env, [store]| {
+            let rstaging = env.stage_seeded(recv)?;
+            env.with_staging([rstaging], |env, [rstore]| {
+                env.charge_buffer_address();
+                let (s, r) = env.rt.direct_bytes_pair(store, rstore)?;
+                env.mpi.alltoallv(
+                    &s[..send.byte_len()],
+                    sendcounts,
+                    sdispls,
+                    &mut r[..recv.byte_len()],
+                    recvcounts,
+                    rdispls,
+                    &dt,
+                    comm,
+                )?;
+                env.unstage_region(rstore, recv, recv.byte_len())
+            })
+        })
     }
 }

@@ -42,6 +42,17 @@ fn recv_array_post<T: Prim>(staging: Buffer, arr: JArray<T>, elems: usize) -> Po
 }
 
 impl Env {
+    /// Lend the first `n` bytes of a staging store to one native call.
+    fn lend<R>(
+        &mut self,
+        store: DirectBuffer,
+        n: usize,
+        call: impl FnOnce(&mut mpisim::Mpi, &[u8]) -> mpisim::MpiResult<R>,
+    ) -> BindResult<R> {
+        let bytes = &self.rt.direct_bytes(store)?[..n];
+        Ok(call(&mut self.mpi, bytes)?)
+    }
+
     /// The documented restriction, extended to collectives: Open MPI-J
     /// cannot pair Java arrays with non-blocking operations.
     fn check_array_nb(&self) -> BindResult<()> {
@@ -230,13 +241,10 @@ impl Env {
         let store = staging.store();
         let post = recv_array_post(staging, arr, elems);
         self.charge_buffer_address();
-        let bytes = &self.rt.direct_bytes(store)?[..elems * T::SIZE];
-        let native = self.mpi.ibcast(bytes, count, &dt, root, comm)?;
-        Ok(JRequest {
-            native,
-            post,
-            pinned: None,
-        })
+        let native = self.lend(store, elems * T::SIZE, |mpi, bytes| {
+            mpi.ibcast(bytes, count, &dt, root, comm)
+        });
+        self.post_request(native, post, None)
     }
 
     /// `comm.iAllReduce(type[] send, type[] recv, count, op)`.
@@ -255,13 +263,10 @@ impl Env {
         let staging = self.stage_region(send, elems)?;
         let post = recv_array_post(self.stage_empty(elems * T::SIZE), recv, elems);
         self.charge_buffer_address();
-        let bytes = &self.rt.direct_bytes(staging.store())?[..elems * T::SIZE];
-        let native = self.mpi.iallreduce(bytes, count, &dt, op, comm)?;
-        Ok(JRequest {
-            native,
-            post,
-            pinned: Some(staging),
-        })
+        let native = self.lend(staging.store(), elems * T::SIZE, |mpi, bytes| {
+            mpi.iallreduce(bytes, count, &dt, op, comm)
+        });
+        self.post_request(native, post, Some(staging))
     }
 
     /// `comm.iAllGather(type[] send, type[] recv, count)`; `recv` must
@@ -281,13 +286,10 @@ impl Env {
         let staging = self.stage_region(send, elems)?;
         let post = recv_array_post(self.stage_empty(elems * p * T::SIZE), recv, elems * p);
         self.charge_buffer_address();
-        let bytes = &self.rt.direct_bytes(staging.store())?[..elems * T::SIZE];
-        let native = self.mpi.iallgather(bytes, count, &dt, comm)?;
-        Ok(JRequest {
-            native,
-            post,
-            pinned: Some(staging),
-        })
+        let native = self.lend(staging.store(), elems * T::SIZE, |mpi, bytes| {
+            mpi.iallgather(bytes, count, &dt, comm)
+        });
+        self.post_request(native, post, Some(staging))
     }
 
     /// `comm.iGather(type[] send, type[] recv, count, root)`; `recv` is
@@ -305,25 +307,26 @@ impl Env {
         let elems = Self::check_count(count)?;
         let dt = datatype_of::<T>();
         let me = self.mpi.rank(comm)?;
-        let staging = self.stage_region(send, elems)?;
-        let post = if me == root {
-            let p = self.mpi.size(comm)?;
-            let out = recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
+        let p = self.mpi.size(comm)?;
+        // The root's receive array is checked before any staging moves.
+        let out = if me == root {
+            Some(recv.ok_or(BindError::Mpi(mpisim::MpiError::BufferTooSmall {
                 needed: dt.span(elems * p),
                 available: 0,
-            }))?;
-            recv_array_post(self.stage_empty(elems * p * T::SIZE), out, elems * p)
+            }))?)
         } else {
-            PostAction::SendDone
+            None
+        };
+        let staging = self.stage_region(send, elems)?;
+        let post = match out {
+            Some(out) => recv_array_post(self.stage_empty(elems * p * T::SIZE), out, elems * p),
+            None => PostAction::SendDone,
         };
         self.charge_buffer_address();
-        let bytes = &self.rt.direct_bytes(staging.store())?[..elems * T::SIZE];
-        let native = self.mpi.igather(bytes, count, &dt, root, comm)?;
-        Ok(JRequest {
-            native,
-            post,
-            pinned: Some(staging),
-        })
+        let native = self.lend(staging.store(), elems * T::SIZE, |mpi, bytes| {
+            mpi.igather(bytes, count, &dt, root, comm)
+        });
+        self.post_request(native, post, Some(staging))
     }
 
     /// `comm.iAllToAll(type[] send, type[] recv, count)`; both arrays
@@ -343,12 +346,9 @@ impl Env {
         let staging = self.stage_region(send, elems * p)?;
         let post = recv_array_post(self.stage_empty(elems * p * T::SIZE), recv, elems * p);
         self.charge_buffer_address();
-        let bytes = &self.rt.direct_bytes(staging.store())?[..elems * p * T::SIZE];
-        let native = self.mpi.ialltoall(bytes, count, &dt, comm)?;
-        Ok(JRequest {
-            native,
-            post,
-            pinned: Some(staging),
-        })
+        let native = self.lend(staging.store(), elems * p * T::SIZE, |mpi, bytes| {
+            mpi.ialltoall(bytes, count, &dt, comm)
+        });
+        self.post_request(native, post, Some(staging))
     }
 }

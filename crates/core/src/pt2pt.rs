@@ -185,29 +185,28 @@ impl Env {
         let packed = dt.size() * count;
         // Buffering layer: pooled direct buffer + gather copy.
         let staging = self.stage_empty(packed);
+        let store = staging.store();
         let clock = self.mpi.clock_mut();
-        stage_from_array(
+        let staged = stage_from_array(
             &mut self.rt,
             clock,
-            staging.store(),
+            store,
             arr.handle(),
             elem_off * T::SIZE,
             count,
             dt,
-        )?;
-        self.charge_buffer_address();
-        // Native sees a contiguous run of base elements.
-        let base_dt = datatype_of::<T>();
-        let elems = (packed / T::SIZE) as i32;
-        let bytes = self.rt.direct_bytes(staging.store())?;
-        let native = self
-            .mpi
-            .isend(&bytes[..packed], elems, &base_dt, dst, tag, comm)?;
-        Ok(JRequest {
-            native,
-            post: PostAction::SendDone,
-            pinned: Some(staging),
-        })
+        );
+        let native = staged.map_err(BindError::from).and_then(|_| {
+            self.charge_buffer_address();
+            // Native sees a contiguous run of base elements.
+            let base_dt = datatype_of::<T>();
+            let elems = (packed / T::SIZE) as i32;
+            let bytes = self.rt.direct_bytes(store)?;
+            Ok(self
+                .mpi
+                .isend(&bytes[..packed], elems, &base_dt, dst, tag, comm)?)
+        });
+        self.post_request(native, PostAction::SendDone, Some(staging))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -233,21 +232,21 @@ impl Env {
         self.charge_buffer_address();
         let base_dt = datatype_of::<T>();
         let elems = (packed / T::SIZE) as i32;
-        let native = self.mpi.irecv(elems, &base_dt, src, tag, comm)?;
-        Ok(JRequest {
-            native,
-            post: PostAction::RecvArray {
-                staging,
-                dest: ArrayDest {
-                    handle: arr.handle(),
-                    byte_off: elem_off * T::SIZE,
-                    byte_len: arr.byte_len(),
-                },
-                dt: dt.clone(),
-                count,
+        let native = self
+            .mpi
+            .irecv(elems, &base_dt, src, tag, comm)
+            .map_err(BindError::from);
+        let post = PostAction::RecvArray {
+            staging,
+            dest: ArrayDest {
+                handle: arr.handle(),
+                byte_off: elem_off * T::SIZE,
+                byte_len: arr.byte_len(),
             },
-            pinned: None,
-        })
+            dt: dt.clone(),
+            count,
+        };
+        self.post_request(native, post, None)
     }
 
     /// `comm.send(type[] arr, count, datatype, dst, tag)` — natural
@@ -389,6 +388,27 @@ impl Env {
     pub(crate) fn release_staging(&mut self, staging: Buffer) {
         let clock = self.mpi.clock_mut();
         staging.free(&mut self.pool, &mut self.rt, clock);
+    }
+
+    /// Wrap a posted native request with the staging its `post` and
+    /// `pinned` own. A failed post completes at once with its error, which
+    /// returns that staging to the pool.
+    pub(crate) fn post_request(
+        &mut self,
+        native: BindResult<mpisim::mpi::MpiRequest>,
+        post: PostAction,
+        pinned: Option<Buffer>,
+    ) -> BindResult<JRequest> {
+        match native {
+            Ok(native) => Ok(JRequest {
+                native,
+                post,
+                pinned,
+            }),
+            Err(e) => Err(self
+                .complete(post, pinned, Err(e))
+                .expect_err("a failed post completes with its error")),
+        }
     }
 
     /// Make a native completion call with `post`'s destination lent in

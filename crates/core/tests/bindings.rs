@@ -3,7 +3,9 @@
 //! management, and the virtual-time properties the figures rely on.
 
 use mvapich2j::datatype::{Datatype, DOUBLE, INT};
-use mvapich2j::{run_job, BindError, JobConfig, ReduceOp, TestOutcome, Topology};
+use mvapich2j::{
+    run_job, BindError, CommHandle, JArray, JobConfig, ReduceOp, TestOutcome, Topology,
+};
 
 fn cfg2() -> JobConfig {
     JobConfig::mvapich2j(Topology::single_node(2))
@@ -414,6 +416,40 @@ fn truncation_surfaces_as_mpi_exception() {
                 BindError::Mpi(mpisim::MpiError::Truncated { .. })
             ));
             assert_eq!(env.pool_stats().outstanding, 0);
+        }
+    });
+}
+
+#[test]
+fn failed_array_calls_return_their_staging_to_the_pool() {
+    run_job(cfg2(), |env| {
+        let w = env.world();
+        let a = env.new_array::<i32>(4).unwrap();
+        let b = env.new_array::<i32>(4).unwrap();
+        type Call = fn(&mut mvapich2j::Env, JArray<i32>, JArray<i32>, CommHandle) -> bool;
+        let calls: [(&str, Call); 6] = [
+            ("send_array past the array end", |env, a, _, w| {
+                env.send_array(a, 8, 1, 0, w).is_err()
+            }),
+            ("irecv_array from source 99", |env, a, _, w| {
+                env.irecv_array(a, 4, 99, 0, w).is_err()
+            }),
+            ("allreduce_array with count -1", |env, a, b, w| {
+                env.allreduce_array(a, b, -1, ReduceOp::Sum, w).is_err()
+            }),
+            ("bcast_array with root 99", |env, a, _, w| {
+                env.bcast_array(a, 4, 99, w).is_err()
+            }),
+            ("ibcast_array with root 99", |env, a, _, w| {
+                env.ibcast_array(a, 4, 99, w).is_err()
+            }),
+            ("iallreduce_array with count -1", |env, a, b, w| {
+                env.iallreduce_array(a, b, -1, ReduceOp::Sum, w).is_err()
+            }),
+        ];
+        for (what, call) in calls {
+            assert!(call(env, a, b, w), "{what} must fail");
+            assert_eq!(env.pool_stats().outstanding, 0, "{what} leaked staging");
         }
     });
 }

@@ -14,7 +14,6 @@ use crate::comm::CommHandle;
 use crate::datatype::Datatype;
 use crate::error::MpiResult;
 use crate::mpi::Mpi;
-use vtime::VDur;
 
 /// Entry point: algorithm selection per the library profile.
 pub fn bcast(
@@ -35,15 +34,8 @@ pub fn bcast(
     }
 
     // Move to the packed-bytes domain.
-    let contiguous = dt.is_contiguous();
     let mut payload: Vec<u8> = if c.me == root {
-        let p = dt.pack(buf, count)?;
-        if !contiguous {
-            let per_byte = mpi.profile().pack_per_byte_ns;
-            mpi.clock_mut()
-                .charge(VDur::from_nanos(p.len() as f64 * per_byte));
-        }
-        p
+        mpi.pack(buf, count, dt)?
     } else {
         vec![0u8; nbytes]
     };
@@ -78,12 +70,7 @@ pub fn bcast(
     };
 
     if c.me != root {
-        dt.unpack(&payload, count, buf)?;
-        if !contiguous {
-            let per_byte = mpi.profile().pack_per_byte_ns;
-            mpi.clock_mut()
-                .charge(VDur::from_nanos(payload.len() as f64 * per_byte));
-        }
+        mpi.unpack(&payload, count, dt, buf)?;
     }
     if obs::tracing_enabled() {
         obs::span(

@@ -11,42 +11,6 @@ use crate::comm::CommHandle;
 use crate::datatype::Datatype;
 use crate::error::{MpiError, MpiResult};
 use crate::mpi::Mpi;
-use vtime::VDur;
-
-fn pack_charged(mpi: &mut Mpi, buf: &[u8], count: usize, dt: &Datatype) -> MpiResult<Vec<u8>> {
-    let p = dt.pack(buf, count)?;
-    if !dt.is_contiguous() {
-        let per_byte = mpi.profile().pack_per_byte_ns;
-        mpi.clock_mut()
-            .charge(VDur::from_nanos(p.len() as f64 * per_byte));
-    }
-    Ok(p)
-}
-
-fn unpack_at(
-    mpi: &mut Mpi,
-    data: &[u8],
-    count: usize,
-    dt: &Datatype,
-    out: &mut [u8],
-    elem_offset: usize,
-) -> MpiResult<()> {
-    let start = elem_offset * dt.extent();
-    let end = start + dt.span(count);
-    if out.len() < end {
-        return Err(MpiError::BufferTooSmall {
-            needed: end,
-            available: out.len(),
-        });
-    }
-    dt.unpack(data, count, &mut out[start..end])?;
-    if !dt.is_contiguous() {
-        let per_byte = mpi.profile().pack_per_byte_ns;
-        mpi.clock_mut()
-            .charge(VDur::from_nanos(data.len() as f64 * per_byte));
-    }
-    Ok(())
-}
 
 /// MPI_Gather: binomial subtree aggregation.
 pub fn gather(
@@ -66,7 +30,7 @@ pub fn gather(
     let real = |v: usize| (v + root) % p;
 
     // Subtree buffer in vrank order: block for vrank v at (v - vrank)*bs.
-    let mut vbuf = pack_charged(mpi, send, count, dt)?;
+    let mut vbuf = mpi.pack(send, count, dt)?;
 
     let mut mask = 1usize;
     let mut subtree = 1usize; // blocks currently held: [vrank, vrank+subtree)
@@ -95,7 +59,7 @@ pub fn gather(
         // vbuf holds blocks for vranks 0..p; map vrank v → comm rank.
         for v in 0..p {
             let r = real(v);
-            unpack_at(mpi, &vbuf[v * bs..(v + 1) * bs], count, dt, out, r * count)?;
+            mpi.unpack_at(&vbuf[v * bs..(v + 1) * bs], count, dt, out, r * count)?;
         }
     }
     Ok(())
@@ -120,7 +84,7 @@ pub fn gatherv(
     let p = c.size();
 
     if c.me != root {
-        let payload = pack_charged(mpi, send, sendcount, dt)?;
+        let payload = mpi.pack(send, sendcount, dt)?;
         return csend(mpi, &c, &payload, root, tags::GATHER + 1);
     }
 
@@ -140,11 +104,11 @@ pub fn gatherv(
         }
         let cnt = cnt as usize;
         let block = if r == root {
-            pack_charged(mpi, send, sendcount.min(cnt), dt)?.into_boxed_slice()
+            mpi.pack(send, sendcount.min(cnt), dt)?.into_boxed_slice()
         } else {
             crecv(mpi, &c, cnt * dt.size(), r, tags::GATHER + 1)?
         };
-        unpack_at(mpi, &block, cnt, dt, out, displs[r] as usize)?;
+        mpi.unpack_at(&block, cnt, dt, out, displs[r] as usize)?;
     }
     Ok(())
 }
@@ -186,7 +150,7 @@ pub fn scatter(
                     available: src.len(),
                 });
             }
-            let packed = pack_charged(mpi, &src[start..], count, dt)?;
+            let packed = mpi.pack(&src[start..], count, dt)?;
             vbuf.extend_from_slice(&packed);
         }
         owned = p;
@@ -232,7 +196,7 @@ pub fn scatter(
         mask >>= 1;
     }
 
-    unpack_at(mpi, &vbuf[..bs.min(vbuf.len())], count, dt, recv, 0)?;
+    mpi.unpack_at(&vbuf[..bs.min(vbuf.len())], count, dt, recv, 0)?;
     Ok(())
 }
 
@@ -256,7 +220,7 @@ pub fn scatterv(
     if c.me != root {
         let got = crecv(mpi, &c, recvcount * dt.size(), root, tags::SCATTER + 1)?;
         let n = got.len() / dt.size().max(1);
-        return unpack_at(mpi, &got, n, dt, recv, 0);
+        return mpi.unpack_at(&got, n, dt, recv, 0);
     }
 
     if sendcounts.len() != p || displs.len() != p {
@@ -283,7 +247,7 @@ pub fn scatterv(
                 available: src.len(),
             });
         }
-        let packed = pack_charged(mpi, &src[start..], cnt, dt)?;
+        let packed = mpi.pack(&src[start..], cnt, dt)?;
         if r == root {
             own = Some(packed);
         } else {
@@ -292,7 +256,7 @@ pub fn scatterv(
     }
     if let Some(mine) = own {
         let n = mine.len() / dt.size().max(1);
-        unpack_at(mpi, &mine, n.min(recvcount), dt, recv, 0)?;
+        mpi.unpack_at(&mine, n.min(recvcount), dt, recv, 0)?;
     }
     for r in reqs {
         mpi.engine_mut().wait(r)?;

@@ -39,33 +39,6 @@ fn combine(
     Ok(())
 }
 
-/// Pack the send buffer, charging for non-contiguous layouts.
-fn pack_charged(mpi: &mut Mpi, buf: &[u8], count: usize, dt: &Datatype) -> MpiResult<Vec<u8>> {
-    let p = dt.pack(buf, count)?;
-    if !dt.is_contiguous() {
-        let per_byte = mpi.profile().pack_per_byte_ns;
-        mpi.clock_mut()
-            .charge(VDur::from_nanos(p.len() as f64 * per_byte));
-    }
-    Ok(p)
-}
-
-fn unpack_charged(
-    mpi: &mut Mpi,
-    data: &[u8],
-    count: usize,
-    dt: &Datatype,
-    out: &mut [u8],
-) -> MpiResult<()> {
-    dt.unpack(data, count, out)?;
-    if !dt.is_contiguous() {
-        let per_byte = mpi.profile().pack_per_byte_ns;
-        mpi.clock_mut()
-            .charge(VDur::from_nanos(data.len() as f64 * per_byte));
-    }
-    Ok(())
-}
-
 /// MPI_Reduce: binomial tree rooted at `root`.
 #[allow(clippy::too_many_arguments)]
 pub fn reduce(
@@ -80,7 +53,7 @@ pub fn reduce(
 ) -> MpiResult<()> {
     let c = cc(mpi, comm)?;
     check_root(&c, root)?;
-    let mut acc = pack_charged(mpi, send, count, dt)?;
+    let mut acc = mpi.pack(send, count, dt)?;
     let p = c.size();
 
     if p > 1 {
@@ -112,7 +85,7 @@ pub fn reduce(
             needed: acc.len(),
             available: 0,
         })?;
-        unpack_charged(mpi, &acc, count, dt, out)?;
+        mpi.unpack(&acc, count, dt, out)?;
     }
     Ok(())
 }
@@ -130,7 +103,7 @@ pub fn allreduce(
     let mut c = cc(mpi, comm)?;
     // Allreduce-specific scheduling overhead (profile tuning).
     c.perhop += VDur::from_nanos(mpi.profile().coll.allreduce_perhop_extra_ns);
-    let mut acc = pack_charged(mpi, send, count, dt)?;
+    let mut acc = mpi.pack(send, count, dt)?;
     let begin = mpi.now();
     let nbytes = acc.len();
 
@@ -144,7 +117,7 @@ pub fn allreduce(
         }
     }
 
-    unpack_charged(mpi, &acc, count, dt, recv)?;
+    mpi.unpack(&acc, count, dt, recv)?;
     if obs::tracing_enabled() {
         obs::span(
             "allreduce",

@@ -294,6 +294,26 @@ impl Datatype {
         self.segments().last().map(|&(o, l)| o + l).unwrap_or(0)
     }
 
+    /// Byte range of the block of `count` elements that starts
+    /// `elem_offset` elements into a buffer of `len` bytes, which must
+    /// hold all of it.
+    pub(crate) fn block(
+        &self,
+        elem_offset: usize,
+        count: usize,
+        len: usize,
+    ) -> MpiResult<std::ops::Range<usize>> {
+        let start = elem_offset * self.extent();
+        let end = start + self.span(count);
+        if len < end {
+            return Err(MpiError::BufferTooSmall {
+                needed: end,
+                available: len,
+            });
+        }
+        Ok(start..end)
+    }
+
     /// Pack `count` elements from `src` into a dense byte vector.
     pub fn pack(&self, src: &[u8], count: usize) -> MpiResult<Vec<u8>> {
         let needed = self.span(count);

@@ -373,42 +373,50 @@ impl Mpi {
             })
     }
 
-    /// Prepare the dense payload for `count` elements of `dt` from `buf`,
-    /// charging the native pack engine for non-contiguous layouts.
-    fn pack_payload(&mut self, buf: &[u8], count: usize, dt: &Datatype) -> MpiResult<Vec<u8>> {
+    /// The native pack engine: pack `count` elements of `dt` from `buf`
+    /// into a dense payload, charged per byte for non-contiguous layouts.
+    pub(crate) fn pack(&mut self, buf: &[u8], count: usize, dt: &Datatype) -> MpiResult<Vec<u8>> {
         let payload = dt.pack(buf, count)?;
-        if !dt.is_contiguous() {
-            let per_byte = self.eng.profile().pack_per_byte_ns;
-            self.eng
-                .clock_mut()
-                .charge(VDur::from_nanos(payload.len() as f64 * per_byte));
-        }
+        self.charge_pack_engine(dt, payload.len());
         Ok(payload)
     }
 
-    /// Deposit a receive payload into `buf` per `count` elements of `dt`,
-    /// charging the native unpack engine for non-contiguous layouts.
-    /// Returns the payload size.
-    fn unpack_payload(
+    /// The native unpack engine: deposit the dense `data` into `out` laid
+    /// out as `count` elements of `dt` (`Datatype::unpack` checks the
+    /// fit), charged per byte for non-contiguous layouts.
+    pub(crate) fn unpack(
         &mut self,
         data: &[u8],
         count: usize,
         dt: &Datatype,
-        buf: Option<&mut [u8]>,
-    ) -> MpiResult<usize> {
-        let bytes = data.len();
-        let out = buf.ok_or(MpiError::BufferTooSmall {
-            needed: bytes,
-            available: 0,
-        })?;
+        out: &mut [u8],
+    ) -> MpiResult<()> {
         dt.unpack(data, count, out)?;
+        self.charge_pack_engine(dt, data.len());
+        Ok(())
+    }
+
+    /// [`Mpi::unpack`] into the block that starts `elem_offset` elements
+    /// into `out`; the whole posted block must fit before anything moves.
+    pub(crate) fn unpack_at(
+        &mut self,
+        data: &[u8],
+        count: usize,
+        dt: &Datatype,
+        out: &mut [u8],
+        elem_offset: usize,
+    ) -> MpiResult<()> {
+        let block = dt.block(elem_offset, count, out.len())?;
+        self.unpack(data, count, dt, &mut out[block])
+    }
+
+    fn charge_pack_engine(&mut self, dt: &Datatype, bytes: usize) {
         if !dt.is_contiguous() {
             let per_byte = self.eng.profile().pack_per_byte_ns;
             self.eng
                 .clock_mut()
                 .charge(VDur::from_nanos(bytes as f64 * per_byte));
         }
-        Ok(bytes)
     }
 
     /// Blocking standard-mode send (MPI_Send).
@@ -458,7 +466,7 @@ impl Mpi {
         self.route(comm, progressed)?;
         let wdst = self.world_dst(comm, dst)?;
         let ctx = self.info(comm)?.pt2pt_context();
-        let payload = self.pack_payload(buf, count, dt)?;
+        let payload = self.pack(buf, count, dt)?;
         let raw = self
             .eng
             .isend_bytes(payload.into_boxed_slice(), wdst, tag, ctx);
@@ -524,7 +532,12 @@ impl Mpi {
         match recv {
             None => Ok(status),
             Some((dt, count)) => {
-                let bytes = self.unpack_payload(&completion.data, *count, dt, buf)?;
+                let bytes = completion.data.len();
+                let out = buf.ok_or(MpiError::BufferTooSmall {
+                    needed: bytes,
+                    available: 0,
+                })?;
+                self.unpack(&completion.data, *count, dt, out)?;
                 Ok(Status { bytes, ..status })
             }
         }
@@ -1038,11 +1051,18 @@ impl Mpi {
                 tag: 0,
                 bytes: 0,
             }),
-            Some((dt, count)) => Ok(Status {
-                source: my_rank,
-                tag: 0,
-                bytes: self.unpack_payload(&data, count, &dt, buf)?,
-            }),
+            Some((dt, count)) => {
+                let out = buf.ok_or(MpiError::BufferTooSmall {
+                    needed: data.len(),
+                    available: 0,
+                })?;
+                self.unpack(&data, count, &dt, out)?;
+                Ok(Status {
+                    source: my_rank,
+                    tag: 0,
+                    bytes: data.len(),
+                })
+            }
         }
     }
 
@@ -1078,7 +1098,7 @@ impl Mpi {
         self.check_icoll_root(comm, root)?;
         let me = self.rank(comm)?;
         let data = if me == root {
-            self.pack_payload(buf, count, dt)?
+            self.pack(buf, count, dt)?
         } else {
             vec![0u8; dt.size() * count]
         };
@@ -1099,7 +1119,7 @@ impl Mpi {
         comm: CommHandle,
     ) -> MpiResult<MpiRequest> {
         let count = Self::check_count(count)?;
-        let mine = self.pack_payload(send, count, dt)?;
+        let mine = self.pack(send, count, dt)?;
         self.post_icoll(
             comm,
             IcollKind::Allreduce {
@@ -1122,7 +1142,7 @@ impl Mpi {
     ) -> MpiResult<MpiRequest> {
         let count = Self::check_count(count)?;
         let size = self.size(comm)?;
-        let mine = self.pack_payload(send, count, dt)?;
+        let mine = self.pack(send, count, dt)?;
         self.post_icoll(
             comm,
             IcollKind::Allgather { mine },
@@ -1144,7 +1164,7 @@ impl Mpi {
         self.check_icoll_root(comm, root)?;
         let size = self.size(comm)?;
         let me = self.rank(comm)?;
-        let mine = self.pack_payload(send, count, dt)?;
+        let mine = self.pack(send, count, dt)?;
         let recv = (me == root).then(|| (dt.clone(), count * size));
         self.post_icoll(comm, IcollKind::Gather { mine, root }, recv)
     }
@@ -1161,7 +1181,7 @@ impl Mpi {
     ) -> MpiResult<MpiRequest> {
         let count = Self::check_count(count)?;
         let size = self.size(comm)?;
-        let packed = self.pack_payload(send, count * size, dt)?;
+        let packed = self.pack(send, count * size, dt)?;
         self.post_icoll(
             comm,
             IcollKind::Alltoall { send: packed },

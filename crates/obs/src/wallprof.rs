@@ -466,8 +466,7 @@ impl SimPerf {
         out
     }
 
-    /// Write the `sim_perf` JSON object (the `ombj --format json` block
-    /// and the per-basket-entry body of `BENCH_*.json`).
+    /// Write the `sim_perf` JSON object (the `ombj --format json` block).
     pub fn write_json(&self, w: &mut JsonBuf) {
         let t = self.totals();
         w.begin_obj();

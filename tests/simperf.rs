@@ -1,12 +1,11 @@
 //! Workspace-level tests for the simulator self-profiling layer
-//! (`obs::wallprof`) and the perf-trajectory basket. The core contract:
-//! wall-clock telemetry lives strictly *outside* every determinism
-//! surface — digests, dumps, and measured series are bit-identical with
-//! profiling on, off, or across reruns, while the wall numbers
-//! themselves are free to differ run to run.
+//! (`obs::wallprof`), which `ombj --perf` and perfbench's traced run
+//! both read. The core contract: wall-clock telemetry lives strictly
+//! *outside* every determinism surface — digests, dumps, and measured
+//! series are bit-identical with profiling on, off, or across reruns,
+//! while the wall numbers themselves are free to differ run to run.
 
 use ombj::{run_with_obs, Api, BenchOptions, Benchmark, Library, RunSpec};
-use ombj_bench::perf;
 use simfabric::{EngineMode, Topology};
 
 fn latency_spec() -> RunSpec {
@@ -127,100 +126,8 @@ fn disabled_profiling_and_obs_paths_stay_cheap() {
 }
 
 #[test]
-fn bench_json_roundtrips_and_reruns_keep_virtual_clocks() {
-    // Satellite 3: the BENCH_*.json document round-trips through
-    // `obs::json` with every required key, and rerunning the basket
-    // yields *identical virtual clocks* (and counters) while the wall
-    // fields are free to differ.
-    let run_once = || {
-        let results = perf::run_basket(true);
-        let text = perf::bench_json(&results, "deadbeef", 6, true);
-        perf::parse_bench(&text).expect("bench json parses")
-    };
-    let d1 = run_once();
-    let d2 = run_once();
-
-    assert_eq!(
-        d1.get("schema_version").and_then(|v| v.as_f64()),
-        Some(perf::SCHEMA_VERSION as f64)
-    );
-    assert_eq!(d1.get("commit").and_then(|v| v.as_str()), Some("deadbeef"));
-    let totals = d1.get("totals").expect("totals object");
-    for key in ["events", "events_per_sec", "vns_per_ws", "alloc_per_msg"] {
-        assert!(
-            totals.get(key).and_then(|v| v.as_f64()).is_some(),
-            "totals missing {key}"
-        );
-    }
-    let basket = d1.get("basket").and_then(|b| b.as_arr()).expect("basket");
-    assert_eq!(basket.len(), perf::basket(true).len());
-
-    let virtuals = |d: &obs::json::JsonValue| -> Vec<(String, f64, f64)> {
-        d.get("basket")
-            .and_then(|b| b.as_arr())
-            .unwrap()
-            .iter()
-            .map(|e| {
-                let p = e.get("sim_perf").expect("per-entry profile");
-                (
-                    e.get("name").and_then(|n| n.as_str()).unwrap().to_string(),
-                    p.get("virtual_ms").and_then(|v| v.as_f64()).unwrap(),
-                    p.get("events").and_then(|v| v.as_f64()).unwrap(),
-                )
-            })
-            .collect()
-    };
-    assert_eq!(
-        virtuals(&d1),
-        virtuals(&d2),
-        "virtual clocks and event counts must replay exactly"
-    );
-    // Wall fields exist in both but are not asserted equal — that is
-    // the whole point of the wall/virtual split.
-    for d in [&d1, &d2] {
-        let wall = d
-            .get("totals")
-            .and_then(|t| t.get("wall_ms"))
-            .and_then(|v| v.as_f64())
-            .unwrap();
-        assert!(wall > 0.0, "basket consumed real time");
-    }
-}
-
-#[test]
-fn baseline_gate_passes_against_itself_and_fails_on_regression() {
-    let results = perf::run_basket(true);
-    let text = perf::bench_json(&results, "x", 6, true);
-    let doc = perf::parse_bench(&text).unwrap();
-    // A document always passes against itself (0% delta).
-    assert!(perf::compare_baseline(&doc, &doc, perf::DEFAULT_GATE_PCT).is_ok());
-    // A baseline 10x faster trips the 25% gate.
-    let mut inflated = text.clone();
-    let eps = doc
-        .get("totals")
-        .and_then(|t| t.get("events_per_sec"))
-        .and_then(|v| v.as_f64())
-        .unwrap();
-    let needle = format!("\"events_per_sec\":{}", obs::json::num(eps));
-    assert!(inflated.contains(&needle), "totals events_per_sec present");
-    inflated = inflated.replacen(
-        &needle,
-        &format!("\"events_per_sec\":{}", obs::json::num(eps * 10.0)),
-        1,
-    );
-    let base = perf::parse_bench(&inflated).unwrap();
-    assert!(
-        perf::compare_baseline(&doc, &base, perf::DEFAULT_GATE_PCT).is_err(),
-        "a 90% drop must fail the gate"
-    );
-    // Mode mismatch (quick vs full) skips the gate rather than lying.
-    let full = perf::parse_bench(&text.replacen("\"quick\":true", "\"quick\":false", 1)).unwrap();
-    assert!(perf::compare_baseline(&doc, &full, perf::DEFAULT_GATE_PCT).is_ok());
-}
-
-#[test]
 fn rma_put_latency_allocs_exactly_one_buffer_per_message() {
-    // Regression guard for the BENCH_7 drift: `win_create` used to charge
+    // Regression guard for an old drift: `win_create` used to charge
     // its one-time window allocation to `Allocs`, nudging the RMA
     // benchmark's allocs/msg to 1.007. The steady-state contract is
     // exact: every Buffer-API put stages one pooled buffer and sends one
@@ -276,30 +183,6 @@ fn sim_perf_is_engine_labeled_and_comparable_across_engines() {
     let mut w = obs::json::JsonBuf::new();
     p_e.write_json(&mut w);
     assert!(w.finish().contains("\"engine\":\"event\""));
-}
-
-#[test]
-fn perf_basket_carries_the_event_engine_rows() {
-    // Satellite: the trajectory basket prices the event engine too —
-    // one row comparable 1:1 with `bcast_8`, one scale row that only
-    // the event engine can host at full size (1024 ranks).
-    let entries = perf::basket(true);
-    let engine_of = |name: &str| {
-        entries
-            .iter()
-            .find(|e| e.name == name)
-            .unwrap_or_else(|| panic!("basket entry {name} missing"))
-            .spec
-            .engine
-    };
-    assert_eq!(engine_of("bcast_8"), EngineMode::Threaded);
-    assert_eq!(engine_of("bcast_8_event"), EngineMode::EventDriven);
-    assert_eq!(engine_of("bcast_1k_event"), EngineMode::EventDriven);
-    let full: Vec<_> = perf::basket(false)
-        .into_iter()
-        .filter(|e| e.name == "bcast_1k_event")
-        .collect();
-    assert_eq!(full[0].spec.topo.size(), 1024, "full-mode scale row");
 }
 
 #[test]
