@@ -25,7 +25,9 @@
 use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::Thread;
 
 use vtime::VTime;
 
@@ -225,15 +227,88 @@ struct CoreState<M> {
     original_panicker: Option<usize>,
 }
 
+impl<M> CoreState<M> {
+    /// Decide who runs next. Called under the core lock by a rank that
+    /// is parking (or finishing); `from` is that rank, used to rotate
+    /// poll-yield resumption so a polling rank cannot starve the others.
+    fn schedule_next(&mut self, from: usize) -> Wake {
+        obs::wallprof::add(obs::wallprof::Counter::SchedPolls, 1);
+        let n = self.slots.len();
+        // 1) The earliest timestamped event. An inbox only ever fills
+        //    here, and its rank resumes at once and drains it before it
+        //    can park again, so no parked rank holds an undelivered
+        //    frame.
+        while let Some(ev) = self.queue.pop() {
+            let (dst, d) = ev.item;
+            if self.slots[dst].status == RankStatus::Done {
+                if self.fault_mode {
+                    // A crashed/failed rank's stragglers vanish, like a
+                    // closed mailbox under a fault plan.
+                    continue;
+                }
+                self.poisoned = Some(POISON_LATE_FRAME);
+                return Wake::All;
+            }
+            self.slots[dst].inbox.push_back(d);
+            self.slots[dst].status = RankStatus::Running;
+            return Wake::One(dst);
+        }
+        // 2) A poll-yielded (or not-yet-started) rank, rotating from
+        //    the parker so repeated polls round-robin.
+        for off in 1..=n {
+            let r = (from + off) % n;
+            if self.slots[r].status == RankStatus::PollYield {
+                self.slots[r].status = RankStatus::Running;
+                return Wake::One(r);
+            }
+        }
+        // 3) Global stall: nothing runnable, nothing queued. Wake the
+        //    lowest parked rank with the stall verdict — its watchdog
+        //    (or deadlock diagnostics) takes it from there. One at a
+        //    time: the woken rank re-enters the scheduler when it next
+        //    parks or finishes.
+        if let Some(r) = self.slots.iter().position(|s| {
+            matches!(
+                s.status,
+                RankStatus::BlockedRecv | RankStatus::BlockedTimeout
+            )
+        }) {
+            self.slots[r].stall_wake = true;
+            self.slots[r].status = RankStatus::Running;
+            return Wake::One(r);
+        }
+        // Every rank is Done; nothing to schedule.
+        Wake::Nobody
+    }
+}
+
+/// Whom a scheduling decision resumes. The decision is taken under the
+/// core lock; the wake itself happens after the lock is dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    /// Every rank is done.
+    Nobody,
+    /// The rank that now holds the baton.
+    One(usize),
+    /// The core is poisoned: every parked rank must unwind.
+    All,
+}
+
 /// Shared state of one event-driven cluster: the event queue, per-rank
-/// inboxes and statuses, and one condvar per rank for baton handoff.
+/// inboxes and statuses, and one doorbell per rank for baton handoff.
 pub(crate) struct EventCore<M> {
     state: Mutex<CoreState<M>>,
-    cvs: Vec<Condvar>,
+    /// Rung (set, then the rank's thread unparked) to resume a rank.
+    /// A parked rank consumes its bell and re-checks its status under
+    /// the lock, so a stale bell costs one spurious look and no more.
+    bells: Vec<AtomicBool>,
+    /// The rank threads, registered once all of them are spawned.
+    threads: OnceLock<Vec<Thread>>,
 }
 
 const POISON_CASCADE: &str = "event engine poisoned: another rank panicked";
 const POISON_LATE_FRAME: &str = "fabric mailbox closed: a rank thread exited early (event engine)";
+const POISON_SPAWN: &str = "event engine poisoned: a rank thread failed to spawn";
 
 impl<M> EventCore<M> {
     pub(crate) fn new(n: usize) -> Self {
@@ -260,7 +335,8 @@ impl<M> EventCore<M> {
                 poisoned: None,
                 original_panicker: None,
             }),
-            cvs: (0..n).map(|_| Condvar::new()).collect(),
+            bells: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            threads: OnceLock::new(),
         }
     }
 
@@ -276,95 +352,85 @@ impl<M> EventCore<M> {
         self.lock().fault_mode = true;
     }
 
-    fn wake_all(&self, st: &mut CoreState<M>) {
-        let _ = st;
-        for cv in &self.cvs {
-            cv.notify_all();
+    /// Record the rank threads, which `ring` needs; no rank runs before
+    /// this.
+    fn register(&self, threads: Vec<Thread>) {
+        self.threads
+            .set(threads)
+            .expect("rank threads are registered once");
+    }
+
+    /// Resume the ranks `wake` names. Called without the core lock, so
+    /// a woken rank never blocks on a lock its waker still holds.
+    fn ring(&self, wake: Wake) {
+        let threads = self
+            .threads
+            .get()
+            .expect("rank threads are registered before any rank runs");
+        let ring_one = |r: usize| {
+            // Release pairs with the Acquire swap in `wait_for_baton`.
+            self.bells[r].store(true, Ordering::Release);
+            threads[r].unpark();
+        };
+        match wake {
+            Wake::Nobody => {}
+            Wake::One(r) => ring_one(r),
+            Wake::All => (0..threads.len()).for_each(ring_one),
         }
     }
 
-    /// Pick and resume the next rank. Called with the lock held by a
-    /// rank that is parking (or finishing); `from` is that rank, used
-    /// to rotate poll-yield resumption so a polling rank cannot starve
-    /// the others.
-    fn schedule_next(&self, st: &mut CoreState<M>, from: usize) {
+    /// Take the scheduling decision for a parking (or finishing) rank,
+    /// drop the lock, then ring the rank that now holds the baton. The
+    /// `Sched` span covers decision and wake alike.
+    fn hand_off(&self, mut st: MutexGuard<'_, CoreState<M>>, from: usize) {
         let _sched = obs::wallprof::span(obs::wallprof::Subsystem::Sched);
-        obs::wallprof::add(obs::wallprof::Counter::SchedPolls, 1);
-        let n = st.slots.len();
-        // 1) A parked rank already holding an undelivered frame.
-        if let Some(r) = st.slots.iter().position(|s| {
-            matches!(
-                s.status,
-                RankStatus::BlockedRecv | RankStatus::BlockedTimeout
-            ) && !s.inbox.is_empty()
-        }) {
-            st.slots[r].status = RankStatus::Running;
-            self.cvs[r].notify_one();
-            return;
-        }
-        // 2) The earliest timestamped event.
-        while let Some(ev) = st.queue.pop() {
-            let (dst, d) = ev.item;
-            if st.slots[dst].status == RankStatus::Done {
-                if st.fault_mode {
-                    // A crashed/failed rank's stragglers vanish, like a
-                    // closed mailbox under a fault plan.
-                    continue;
-                }
-                st.poisoned = Some(POISON_LATE_FRAME);
-                self.wake_all(st);
-                return;
-            }
-            st.slots[dst].inbox.push_back(d);
-            st.slots[dst].status = RankStatus::Running;
-            self.cvs[dst].notify_one();
-            return;
-        }
-        // 3) A poll-yielded (or not-yet-started) rank, rotating from
-        //    the parker so repeated polls round-robin.
-        for off in 1..=n {
-            let r = (from + off) % n;
-            if st.slots[r].status == RankStatus::PollYield {
-                st.slots[r].status = RankStatus::Running;
-                self.cvs[r].notify_one();
-                return;
-            }
-        }
-        // 4) Global stall: nothing runnable, nothing queued. Wake the
-        //    lowest parked rank with the stall verdict — its watchdog
-        //    (or deadlock diagnostics) takes it from there. One at a
-        //    time: the woken rank re-enters the scheduler when it next
-        //    parks or finishes.
-        if let Some(r) = st.slots.iter().position(|s| {
-            matches!(
-                s.status,
-                RankStatus::BlockedRecv | RankStatus::BlockedTimeout
-            )
-        }) {
-            st.slots[r].stall_wake = true;
-            st.slots[r].status = RankStatus::Running;
-            self.cvs[r].notify_one();
-        }
-        // else: every rank is Done; nothing to schedule.
+        let wake = st.schedule_next(from);
+        drop(st);
+        self.ring(wake);
     }
 
-    /// Park until this rank holds the baton again (status `Running`).
-    fn wait_for_baton<'a>(
+    /// Poison the core and wake every rank so parked ones unwind.
+    fn poison(&self, mut st: MutexGuard<'_, CoreState<M>>, msg: &'static str) {
+        st.poisoned = Some(msg);
+        drop(st);
+        self.ring(Wake::All);
+    }
+
+    /// Park until this rank holds the baton again (status `Running`) or
+    /// the core is poisoned, and return the re-taken lock.
+    fn wait_for_baton(&self, rank: usize) -> MutexGuard<'_, CoreState<M>> {
+        loop {
+            // Acquire pairs with the Release store in `ring`.
+            while !self.bells[rank].swap(false, Ordering::Acquire) {
+                std::thread::park();
+            }
+            let st = self.lock();
+            if st.slots[rank].status == RankStatus::Running || st.poisoned.is_some() {
+                return st;
+            }
+        }
+    }
+
+    /// Leave the baton in `status` and block until it comes back.
+    fn park<'a>(
         &'a self,
         mut st: MutexGuard<'a, CoreState<M>>,
         rank: usize,
+        status: RankStatus,
     ) -> MutexGuard<'a, CoreState<M>> {
-        while st.slots[rank].status != RankStatus::Running && st.poisoned.is_none() {
-            st = self.cvs[rank].wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        st
+        debug_assert!(
+            st.slots[rank].inbox.is_empty(),
+            "rank {rank} parks with an undelivered frame"
+        );
+        st.slots[rank].status = status;
+        self.hand_off(st, rank);
+        self.wait_for_baton(rank)
     }
 
     /// Block a freshly spawned rank thread until the scheduler starts
-    /// it (rank 0 starts immediately).
+    /// it (rank 0 starts when the runner rings it).
     pub(crate) fn start_wait(&self, rank: usize) {
-        let st = self.lock();
-        let st = self.wait_for_baton(st, rank);
+        let st = self.wait_for_baton(rank);
         if let Some(msg) = st.poisoned {
             drop(st);
             panic!("{msg}");
@@ -388,20 +454,17 @@ impl<M> EventCore<M> {
             }
             if st.slots[rank].stall_wake {
                 st.slots[rank].stall_wake = false;
-                st.poisoned = Some(
+                self.poison(
+                    st,
                     "event engine stalled: a rank is blocked in recv with no runnable \
                      rank and no pending events (deadlock)",
                 );
-                self.wake_all(&mut st);
-                drop(st);
                 panic!(
                     "event engine stalled: rank {rank} blocked in recv with no runnable \
                      rank and no pending events (deadlock)"
                 );
             }
-            st.slots[rank].status = RankStatus::BlockedRecv;
-            self.schedule_next(&mut st, rank);
-            st = self.wait_for_baton(st, rank);
+            st = self.park(st, rank, RankStatus::BlockedRecv);
         }
     }
 
@@ -424,9 +487,7 @@ impl<M> EventCore<M> {
                 st.slots[rank].stall_wake = false;
                 return None;
             }
-            st.slots[rank].status = RankStatus::BlockedTimeout;
-            self.schedule_next(&mut st, rank);
-            st = self.wait_for_baton(st, rank);
+            st = self.park(st, rank, RankStatus::BlockedTimeout);
         }
     }
 
@@ -443,9 +504,7 @@ impl<M> EventCore<M> {
         if let Some(d) = st.slots[rank].inbox.pop_front() {
             return Some(d);
         }
-        st.slots[rank].status = RankStatus::PollYield;
-        self.schedule_next(&mut st, rank);
-        st = self.wait_for_baton(st, rank);
+        st = self.park(st, rank, RankStatus::PollYield);
         if let Some(msg) = st.poisoned {
             drop(st);
             panic!("{msg}");
@@ -479,10 +538,9 @@ impl<M> EventCore<M> {
             if st.original_panicker.is_none() {
                 st.original_panicker = Some(rank);
             }
-            st.poisoned = Some(POISON_CASCADE);
-            self.wake_all(&mut st);
+            self.poison(st, POISON_CASCADE);
         } else {
-            self.schedule_next(&mut st, rank);
+            self.hand_off(st, rank);
         }
     }
 
@@ -504,6 +562,10 @@ const RANK_STACK_BYTES: usize = 2 << 20;
 /// a cooperatively scheduled state machine. Same contract — per-rank
 /// results in rank order, panics propagate — but only one rank ever
 /// executes at a time, driven by the `(time, src, seq)` event queue.
+///
+/// Every rank thread is pinned to the CPU the caller is running on, so
+/// each baton handoff wakes a thread on the waker's own CPU instead of
+/// migrating the baton between CPUs.
 pub fn run_cluster_event<M, R, F>(topo: Topology, f: F) -> Vec<R>
 where
     M: Send + 'static,
@@ -512,30 +574,50 @@ where
 {
     let n = topo.size();
     let core: Arc<EventCore<M>> = Arc::new(EventCore::new(n));
+    let cpu = affinity::current_cpu();
     let f = &f;
     type Caught<R> = Result<R, Box<dyn Any + Send>>;
+    let mut spawn_err = None;
     let mut results: Vec<Caught<R>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for rank in 0..n {
             let ep = Endpoint::new_event(rank, topo, core.clone());
             let core = core.clone();
-            let h = std::thread::Builder::new()
+            let spawned = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
                 .stack_size(RANK_STACK_BYTES)
                 .spawn_scoped(scope, move || {
+                    if let Some(cpu) = cpu {
+                        affinity::pin_current_thread(cpu);
+                    }
                     core.start_wait(rank);
                     let out = catch_unwind(AssertUnwindSafe(|| f(ep)));
                     core.finish_rank(rank, out.is_err());
                     out
-                })
-                .expect("spawn rank thread");
-            handles.push(h);
+                });
+            match spawned {
+                Ok(h) => handles.push(h),
+                Err(e) => {
+                    spawn_err = Some(e);
+                    break;
+                }
+            }
+        }
+        core.register(handles.iter().map(|h| h.thread().clone()).collect());
+        if spawn_err.is_some() {
+            // The spawned ranks unwind from `start_wait`.
+            core.poison(core.lock(), POISON_SPAWN);
+        } else {
+            core.ring(Wake::One(0));
         }
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(Err))
             .collect()
     });
+    if let Some(e) = spawn_err {
+        panic!("spawn rank thread: {e}");
+    }
     // Re-throw the first panic from the rank that caused it, not from
     // a rank that merely unwound in the cascade.
     if let Some(r) = core.original_panicker() {
@@ -552,6 +634,97 @@ where
             Err(payload) => resume_unwind(payload),
         })
         .collect()
+}
+
+/// Thread-to-CPU pinning through glibc's scheduler calls.
+#[cfg(target_os = "linux")]
+mod affinity {
+    const WORDS: usize = 1024 / usize::BITS as usize;
+
+    /// Linux's `SCHED_BATCH` policy: a woken thread does not preempt
+    /// the running one.
+    pub(super) const SCHED_BATCH: i32 = 3;
+
+    /// glibc's `cpu_set_t`: a 1024-bit mask of `unsigned long` words.
+    #[repr(C)]
+    pub(super) struct CpuSet([usize; WORDS]);
+
+    /// glibc's `struct sched_param`.
+    #[repr(C)]
+    struct SchedParam {
+        sched_priority: i32,
+    }
+
+    extern "C" {
+        fn sched_getcpu() -> i32;
+        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+        #[cfg(test)]
+        fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut CpuSet) -> i32;
+        #[cfg(test)]
+        fn sched_getscheduler(pid: i32) -> i32;
+    }
+
+    /// The CPU the calling thread is running on, if the kernel reports
+    /// one that a `CpuSet` can hold.
+    pub(super) fn current_cpu() -> Option<usize> {
+        // SAFETY: `sched_getcpu` takes no arguments and touches no memory.
+        let cpu = unsafe { sched_getcpu() };
+        usize::try_from(cpu)
+            .ok()
+            .filter(|&c| c < WORDS * usize::BITS as usize)
+    }
+
+    /// Restrict the calling thread to `cpu` and give it the batch
+    /// policy. Without it, ringing a rank on the same CPU preempts the
+    /// ringer before it parks, so the ringer's `Sched` span runs on
+    /// while the woken rank works, and each such handoff costs a second
+    /// switch back. If the kernel refuses either call, the thread keeps
+    /// what it inherited.
+    pub(super) fn pin_current_thread(cpu: usize) {
+        let bits = usize::BITS as usize;
+        let mut set = CpuSet([0; WORDS]);
+        set.0[cpu / bits] |= 1 << (cpu % bits);
+        // SAFETY: `set` is a live `cpu_set_t` of exactly the size passed,
+        // pid 0 names the calling thread, and the call only reads the mask.
+        let _ = unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) };
+        let param = SchedParam { sched_priority: 0 };
+        // SAFETY: `param` is a live `struct sched_param`, priority 0 is the
+        // one `SCHED_BATCH` accepts, pid 0 names the calling thread, and the
+        // call only reads `param`.
+        let _ = unsafe { sched_setscheduler(0, SCHED_BATCH, &param) };
+    }
+
+    /// The scheduling policy of the calling thread.
+    #[cfg(test)]
+    pub(super) fn current_policy() -> i32 {
+        // SAFETY: pid 0 names the calling thread; no memory is passed.
+        unsafe { sched_getscheduler(0) }
+    }
+
+    /// The CPUs the calling thread may run on.
+    #[cfg(test)]
+    pub(super) fn current_mask() -> Vec<usize> {
+        let bits = usize::BITS as usize;
+        let mut set = CpuSet([0; WORDS]);
+        // SAFETY: `set` is a live, writable `cpu_set_t` of exactly the size
+        // passed, and pid 0 names the calling thread.
+        let rc = unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut set) };
+        assert_eq!(rc, 0, "sched_getaffinity failed");
+        (0..WORDS * bits)
+            .filter(|&c| set.0[c / bits] & (1 << (c % bits)) != 0)
+            .collect()
+    }
+}
+
+/// Pinning does nothing off Linux.
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    pub(super) fn current_cpu() -> Option<usize> {
+        None
+    }
+
+    pub(super) fn pin_current_thread(_cpu: usize) {}
 }
 
 #[cfg(test)]
@@ -672,6 +845,75 @@ mod tests {
             }
         });
         assert_eq!(results, vec![true, true]);
+    }
+
+    /// Payload of the deliberate failure in the cascade test.
+    #[derive(Debug, PartialEq)]
+    struct OriginalFailure(usize);
+
+    #[test]
+    fn panic_cascade_unwinds_every_kind_of_parked_rank() {
+        // Ranks 0..62 park in blocking receives, watchdog receives and
+        // poll loops; the last rank to start panics, so the poison must
+        // ring every parked rank (`Wake::All`) and the runner must
+        // re-throw the original payload rather than a cascade panic.
+        let n = 64;
+        let caught = catch_unwind(|| {
+            run_cluster_event::<(), (), _>(Topology::new(4, 16), |ep| {
+                let rank = ep.rank();
+                if rank == n - 1 {
+                    std::panic::panic_any(OriginalFailure(rank));
+                }
+                match rank % 3 {
+                    0 => {
+                        let _ = ep.recv_blocking();
+                    }
+                    1 => {
+                        while ep
+                            .recv_timeout(std::time::Duration::from_millis(1))
+                            .is_none()
+                        {}
+                    }
+                    _ => while ep.try_recv().is_none() {},
+                }
+            })
+        });
+        let payload = caught.expect_err("the job must fail");
+        assert_eq!(
+            payload.downcast_ref::<OriginalFailure>(),
+            Some(&OriginalFailure(n - 1))
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn event_rank_threads_share_one_pinned_cpu_as_batch_threads() {
+        let launcher = affinity::current_mask();
+        let launcher_policy = affinity::current_policy();
+        let seen = run_cluster_event::<(), (Vec<usize>, i32), _>(Topology::new(4, 4), |_| {
+            (affinity::current_mask(), affinity::current_policy())
+        });
+        let cpu = &seen[0].0;
+        assert_eq!(cpu.len(), 1, "rank 0 mask {cpu:?}");
+        assert!(launcher.contains(&cpu[0]));
+        for (rank, (mask, policy)) in seen.iter().enumerate() {
+            assert_eq!(mask, cpu, "rank {rank}");
+            assert_eq!(*policy, affinity::SCHED_BATCH, "rank {rank}");
+        }
+        assert_eq!(affinity::current_mask(), launcher, "launcher mask changed");
+        assert_eq!(affinity::current_policy(), launcher_policy);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn threaded_rank_threads_keep_the_launcher_mask_and_policy() {
+        let launcher = (affinity::current_mask(), affinity::current_policy());
+        let seen = crate::run_cluster::<(), _, _>(Topology::new(2, 2), |_| {
+            (affinity::current_mask(), affinity::current_policy())
+        });
+        for (rank, got) in seen.iter().enumerate() {
+            assert_eq!(got, &launcher, "rank {rank}");
+        }
     }
 
     #[test]
